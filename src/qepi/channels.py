@@ -58,16 +58,6 @@ def time_reversal_matrix(n: int) -> np.ndarray:
     return np.diag(np.tile([1.0, -1.0], n))
 
 
-@dataclass(frozen=True)
-class TimeReversal:
-    n: int
-    matrix: np.ndarray
-
-    @classmethod
-    def of(cls, n: int) -> "TimeReversal":
-        return cls(n=n, matrix=time_reversal_matrix(n))
-
-
 def mix(a: GaussianState, b: GaussianState, p: MixingParams) -> GaussianState:
     """Gaussian output of the beam splitter / amplifier on the A port."""
     if a.n != b.n:

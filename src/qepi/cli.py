@@ -22,7 +22,7 @@ from . import broadcast, fock
 from .channels import MixingParams
 from .inequalities import delta_surface, delta_surface_max, moe_bound, \
     moe_conjectured, random_qepi_suite
-from .symplectic import g, g_inv
+from .symplectic import g
 
 
 def _atomic_write(path: str, data: str) -> None:

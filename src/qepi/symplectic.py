@@ -38,16 +38,6 @@ def symplectic_form(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SymplecticForm:
-    n: int
-    matrix: np.ndarray
-
-    @classmethod
-    def of(cls, n: int) -> "SymplecticForm":
-        return cls(n=n, matrix=symplectic_form(n))
-
-
-@dataclass(frozen=True)
 class SpectrumReport:
     nus: np.ndarray       # sorted ascending, length n
     min_nu: float
@@ -152,43 +142,40 @@ def g(mean_photons) -> float:
     return float(out) if out.ndim == 0 else out
 
 
+# g of the largest float; every finite entropy up to it has a finite inverse
+G_MAX = g(np.finfo(float).max)
+_G_INV_MAX_ITER = 50
+
+
 def g_inv(entropy_nats) -> float:
-    """Inverse of g: mean photon number of a thermal mode with given entropy."""
+    """Inverse of g: mean photon number of a thermal mode with given entropy.
+
+    Safeguarded Newton on g(N) = S, applied to every element at once.  g is
+    concave and increasing, so an iterate below the root never overshoots
+    it; a step that would land at N <= 0 divides the iterate by 10 instead.
+    """
     s = np.asarray(entropy_nats, dtype=float)
-    if np.any(~np.isfinite(s)) or np.any(s < 0):
-        raise DomainError(f"entropy must be finite and >= 0, got {entropy_nats}")
-    if s.ndim == 0:
-        return _g_inv_scalar(float(s))
-    return np.array([_g_inv_scalar(float(v)) for v in s.ravel()]).reshape(s.shape)
-
-
-def _g_inv_scalar(s: float) -> float:
-    if s == 0.0:
-        return 0.0
-    # Bracket then bisect coarsely; polish with Newton (g is smooth and
-    # strictly increasing, g'(N) = ln((N+1)/N) > 0).
-    lo, hi = 0.0, max(1.0, math.exp(s))
-    while g(hi) < s:
-        hi *= 2.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < s:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-6 * max(1.0, hi):
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(50):
-        fx = g(x) - s
-        dfx = math.log((x + 1.0) / x)
-        step = fx / dfx
-        x -= step
-        if x <= 0:
-            x = 1e-300
-        if abs(step) < 1e-14 * max(1.0, x):
-            break
-    return x
+    if np.any(~np.isfinite(s)) or np.any(s < 0) or np.any(s > G_MAX):
+        raise DomainError(
+            f"entropy must be finite and in [0, {G_MAX:.6f}], got {entropy_nats}")
+    # log(0) and 1/x at x = 0 or subnormal x give inf, which makes the step 0
+    with np.errstate(divide="ignore", over="ignore"):
+        # start from the large-N asymptote g(N) ~ 1 + ln(N + 1/2) or the
+        # tiny-N expansion g(N) ~ N(1 - ln N)
+        x = np.where(s > 1.0, np.exp(s - 1.0) - 0.5, s / (1.0 - np.log(s)))
+        # one rounding unit of S moves the root by a few 1e-16 max(1, S)
+        # relatively, so a smaller relative step is rounding noise
+        tol = 1e-15 * np.maximum(1.0, s)
+        active = np.ones(s.shape, dtype=bool)
+        for _ in range(_G_INV_MAX_ITER):
+            new = x - (g(x) - s) / np.log1p(1.0 / x)
+            new = np.where(new > 0.0, new, x / 10.0)
+            converged = np.abs(new - x) <= tol * new
+            x = np.where(active, new, x)
+            active &= ~converged
+            if not active.any():
+                break
+    return float(x) if x.ndim == 0 else x
 
 
 def entropy(state: GaussianState) -> float:

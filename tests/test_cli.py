@@ -43,6 +43,11 @@ def test_verify_bad_kappa_usage_error():
     assert main(["verify", "--trials", "5", "--kappa", "0.5"]) == 2
 
 
+def test_verify_huge_nu_max():
+    # entropies past 38 nats, where photon numbers exceed 1e16
+    assert main(["verify", "--trials", "3", "--nu-max", "1e20"]) == 0
+
+
 def test_oracle_small_cutoff_infeasible(capsys):
     assert main(["oracle", "--cutoff", "8"]) == 3
     assert "infeasible" in capsys.readouterr().err

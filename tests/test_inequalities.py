@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qepi import inequalities
 from qepi.channels import MixingParams, mix
 from qepi.inequalities import (EPNI_FLOOR, amplifier_photon_gap,
                                asymptotic_check, delta_surface,
@@ -121,6 +122,13 @@ def test_delta_surface_shape_and_sign():
     assert np.allclose(surface[:, -1], 0.0, atol=1e-12)
 
 
+def test_delta_surface_matches_pointwise_moe_delta():
+    s_grid, lam_grid = np.geomspace(0.01, 6.0, 7), np.linspace(0.0, 1.0, 9)
+    _, _, surface = delta_surface(s_grid, lam_grid)
+    want = [[moe_delta(float(s), float(lam)) for lam in lam_grid] for s in s_grid]
+    assert np.allclose(surface, want, rtol=0.0, atol=1e-13)
+
+
 def test_delta_surface_max_refines_grid():
     best, s_at, lam_at = delta_surface_max()
     assert best >= 0.106
@@ -207,6 +215,16 @@ def test_suite_with_stam():
                                 with_stam=True)
     assert summary.failures == []
     assert summary.min_stam_slack >= -1e-9
+
+
+def test_suite_stam_propagates_unexpected_errors(monkeypatch):
+    # only a diverging Fisher information skips a draw; any other error is a bug
+    def broken(state):
+        raise ValueError("broken Fisher route")
+
+    monkeypatch.setattr(inequalities, "fisher_total_gaussian", broken)
+    with pytest.raises(ValueError, match="broken Fisher route"):
+        random_qepi_suite(5, 5, MixingParams.beam_splitter(0.5), with_stam=True)
 
 
 def test_suite_degenerate_vacuum_generator():

@@ -1,13 +1,14 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qepi.symplectic import (DomainError, GaussianState, ValidationError, delta,
-                             entropy, entropy_power, g, g_inv, photon_number,
+from qepi.symplectic import (G_MAX, DomainError, GaussianState, ValidationError,
+                             delta, entropy, entropy_power, g, g_inv, photon_number,
                              random_gaussian_state, symplectic_eigenvalues,
                              symplectic_form)
 
@@ -51,6 +52,44 @@ def test_g_roundtrip(n_val):
 @pytest.mark.parametrize("s_val", np.linspace(0.01, g(100.0), 25))
 def test_g_inv_roundtrip(s_val):
     assert g(g_inv(float(s_val))) == pytest.approx(s_val, abs=1e-10)
+
+
+def _g_mp(n):
+    return mpmath.log1p(n) + n * mpmath.log1p(1 / n)
+
+
+def test_g_and_g_inv_match_mpmath():
+    # g_inv is solved in u = ln N, where the relative tolerance of findroot
+    # is a relative tolerance on N at every scale
+    ns = np.geomspace(1e-300, 1e300, 121)
+    s_vals = g(ns)
+    n_back = g_inv(s_vals)
+    with mpmath.workdps(50):
+        for n_val, s_val, got in zip(ns, s_vals, n_back):
+            n_mp = mpmath.mpf(float(n_val))
+            s_mp = mpmath.mpf(float(s_val))
+            want_s = _g_mp(n_mp)
+            assert abs(s_mp / want_s - 1) <= 1e-13, n_val
+            u = mpmath.findroot(lambda u: _g_mp(mpmath.exp(u)) / s_mp - 1,
+                                mpmath.log(n_mp))
+            assert abs(mpmath.mpf(float(got)) / mpmath.exp(u) - 1) <= 1e-13, n_val
+
+
+def test_g_inv_top_of_range():
+    assert g_inv(40.0) == pytest.approx(math.exp(39.0) - 0.5, rel=1e-13)
+    assert math.isfinite(g_inv(G_MAX))
+    with pytest.raises(DomainError):
+        g_inv(711.0)
+    with pytest.raises(DomainError):
+        g_inv(np.array([1.0, 711.0]))
+
+
+def test_g_inv_array_matches_scalar():
+    s_vals = np.concatenate([[0.0], np.geomspace(1e-12, 700.0, 300)])
+    got = g_inv(s_vals.reshape(-1, 1))
+    assert got.shape == (301, 1)
+    assert isinstance(g_inv(1.0), float)
+    assert np.array_equal(got.ravel(), [g_inv(float(s)) for s in s_vals])
 
 
 def test_entropy_power_and_photon_number():
