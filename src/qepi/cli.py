@@ -116,6 +116,9 @@ def cmd_figures(args) -> int:
 
 def cmd_oracle(args) -> int:
     dim = args.cutoff
+    if dim < 1:
+        print(f"usage error: --cutoff must be at least 1, got {dim}", file=sys.stderr)
+        return 2
     checks = []
     try:
         thermal = fock.thermal_state(1.0, dim)
@@ -133,6 +136,9 @@ def cmd_oracle(args) -> int:
         print(f"oracle infeasible at cutoff {dim}: {exc} (leak={exc.leak:.3e})",
               file=sys.stderr)
         return 3
+    except (fock.NumericError, fock.AccuracyError) as exc:
+        print(f"oracle numerical failure at cutoff {dim}: {exc}", file=sys.stderr)
+        return 1
     worst = max(abs(got - want) for _, got, want in checks)
     payload = {"cutoff": dim,
                "checks": [{"name": name, "oracle": got, "closed_form": want,

@@ -66,7 +66,7 @@ def fisher_total_gaussian(state: GaussianState, h: float = 1e-3) -> FisherRecord
 
 
 def fisher_direction_fock(rho: fock.FockDensityMatrix, direction: str,
-                          h: float = 0.05, mode: int = 0) -> float:
+                          h: float = 0.05) -> float:
     """Fisher information along one quadrature direction by finite differences.
 
     J = d^2/dtheta^2 S(rho || rho_theta) at 0; since the relative entropy
@@ -81,8 +81,8 @@ def fisher_direction_fock(rho: fock.FockDensityMatrix, direction: str,
             "relative-entropy Fisher information diverges")
 
     def second_diff(step: float) -> float:
-        plus = fock.displace_fock(rho, direction, step, mode=mode)
-        minus = fock.displace_fock(rho, direction, -step, mode=mode)
+        plus = fock.displace_fock(rho, direction, step)
+        minus = fock.displace_fock(rho, direction, -step)
         return (fock.relative_entropy(rho, plus)
                 + fock.relative_entropy(rho, minus)) / step ** 2
 
@@ -99,11 +99,8 @@ def fisher_direction_fock(rho: fock.FockDensityMatrix, direction: str,
 
 
 def fisher_total_fock(rho: fock.FockDensityMatrix, h: float = 0.05) -> FisherRecord:
-    """Sum of the direction-wise Fisher informations over all quadratures."""
-    per = []
-    for mode in range(rho.modes):
-        for direction in ("q", "p"):
-            per.append(fisher_direction_fock(rho, direction, h=h, mode=mode))
+    """Sum of the direction-wise Fisher informations over both quadratures."""
+    per = [fisher_direction_fock(rho, direction, h=h) for direction in ("q", "p")]
     return FisherRecord(total=float(sum(per)), method="fock_finite_difference",
                         state_ref=f"fock(modes={rho.modes}, dim={rho.dim})",
                         per_direction=tuple(per))

@@ -1,8 +1,11 @@
-"""Truncated Fock-space oracle: exact dense density-matrix simulation.
+"""Truncated Fock-space oracle: single-mode density matrices at a finite cutoff.
 
 Everything the Gaussian modules compute in closed form can be cross-checked
-here by brute force on 1 or 2 modes with a finite Fock cutoff, and
-non-Gaussian inputs (Fock states) become available.
+here by brute force on one mode with a finite Fock cutoff, and non-Gaussian
+inputs (Fock states) become available.  The channel kernels use the
+photon-number structure that survives truncation: the mixing unitaries
+conserve n_A + n_B (beam splitter) or n_A - n_B (amplifier), and the
+additive-noise generator maps each diagonal band of rho to itself.
 """
 
 from __future__ import annotations
@@ -10,13 +13,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.special import gammaln, xlogy
 
-from .channels import AMPLIFIER, BEAM_SPLITTER, MixingParams
+from .channels import BEAM_SPLITTER, MixingParams
 from .symplectic import DomainError
 
 HERMITICITY_TOL = 1e-12
@@ -44,17 +46,16 @@ class NumericError(RuntimeError):
 
 @dataclass(frozen=True)
 class FockDensityMatrix:
-    modes: int
-    dim: int            # Fock dimension per mode
-    rho: np.ndarray     # dim**modes square complex Hermitian
+    modes: int          # always 1
+    dim: int            # Fock dimension
+    rho: np.ndarray     # dim x dim complex Hermitian
 
     def __init__(self, modes: int, dim: int, rho, validate: bool = True):
         rho = np.array(rho, dtype=complex)
-        if modes not in (1, 2):
-            raise DomainError(f"oracle supports 1 or 2 modes, got {modes}")
-        size = dim ** modes
-        if rho.shape != (size, size):
-            raise DomainError(f"expected {size}x{size} matrix, got {rho.shape}")
+        if modes != 1:
+            raise DomainError(f"oracle supports 1 mode, got {modes}")
+        if rho.shape != (dim, dim):
+            raise DomainError(f"expected {dim}x{dim} matrix, got {rho.shape}")
         if validate:
             herm = np.max(np.abs(rho - rho.conj().T))
             if herm > HERMITICITY_TOL:
@@ -83,13 +84,6 @@ def quadratures(dim: int) -> tuple[np.ndarray, np.ndarray]:
     q = (a + a.conj().T) / math.sqrt(2.0)
     p = 1j * (a.conj().T - a) / math.sqrt(2.0)
     return q, p
-
-
-def _mode_op(op: np.ndarray, mode: int, modes: int, dim: int) -> np.ndarray:
-    if modes == 1:
-        return op
-    eye = np.eye(dim, dtype=complex)
-    return np.kron(op, eye) if mode == 0 else np.kron(eye, op)
 
 
 # ---------------------------------------------------------------------------
@@ -154,20 +148,29 @@ def squeezed_thermal_state(r: float, mean_photons: float, dim: int) -> FockDensi
 # ---------------------------------------------------------------------------
 # channels
 
-@lru_cache(maxsize=16)
-def _mixing_unitary(kind: str, lambda_a: float, dim: int) -> np.ndarray:
-    """Two-mode mixing unitary on the dim^2 product space (cached, dense expm)."""
-    a = ladder(dim)
-    eye = np.eye(dim)
-    op_a = np.kron(a, eye)
-    op_b = np.kron(eye, a)
-    if kind == BEAM_SPLITTER:
-        theta = math.atan(math.sqrt((1.0 - lambda_a) / lambda_a))
-        gen = theta * (op_a.conj().T @ op_b - op_a @ op_b.conj().T)
+def _sector_unitaries(p: MixingParams, dim: int):
+    """Blocks of the two-mode mixing unitary on the truncated product space.
+
+    The beam splitter theta (a^dag b - a b^dag) conserves n_A + n_B and the
+    amplifier r (a^dag b^dag - a b) conserves n_A - n_B, also after
+    truncation, so the unitary is block-diagonal by that charge with blocks
+    of at most dim.  Ordered by n_A, a block's generator is real, skew and
+    tridiagonal, with entry angle * sqrt(n_A' max(n_B, n_B')) from
+    (n_A, n_B) to its neighbour (n_A', n_B') = (n_A + 1, n_B -+ 1).
+    Yields (indices n_A * dim + n_B of the sector, block unitary).
+    """
+    n_a, n_b = np.divmod(np.arange(dim * dim), dim)
+    if p.kind == BEAM_SPLITTER:
+        angle = math.atan(math.sqrt((1.0 - p.lambda_A) / p.lambda_A))
+        charge = n_a + n_b
     else:
-        r = math.atanh(math.sqrt((lambda_a - 1.0) / lambda_a))
-        gen = r * (op_a.conj().T @ op_b.conj().T - op_a @ op_b)
-    return sla.expm(gen.real)  # both generators are real matrices
+        angle = math.atanh(math.sqrt((p.lambda_A - 1.0) / p.lambda_A))
+        charge = n_a - n_b
+    for q in np.unique(charge):
+        idx = np.flatnonzero(charge == q)
+        sa, sb = n_a[idx], n_b[idx]
+        off = angle * np.sqrt(sa[1:] * np.maximum(sb[:-1], sb[1:]))
+        yield idx, sla.expm(np.diag(off, -1) - np.diag(off, 1))
 
 
 def partial_trace(rho: np.ndarray, dim: int, keep: int) -> np.ndarray:
@@ -178,13 +181,17 @@ def partial_trace(rho: np.ndarray, dim: int, keep: int) -> np.ndarray:
 def two_mode_mix(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
                  p: MixingParams, leak_tol: float = LEAK_TOL) -> FockDensityMatrix:
     """Tr_B[U (rho_A x rho_B) U^dag] for the beam splitter / amplifier."""
-    if rho_a.modes != 1 or rho_b.modes != 1 or rho_a.dim != rho_b.dim:
-        raise DomainError("two_mode_mix needs two single-mode states of equal cutoff")
+    if rho_a.dim != rho_b.dim:
+        raise DomainError("two_mode_mix needs two states of equal cutoff")
     dim = rho_a.dim
     if p.kind == BEAM_SPLITTER and p.lambda_A == 0.0:
         return rho_b
-    u = _mixing_unitary(p.kind, p.lambda_A, dim)
-    joint = u @ np.kron(rho_a.rho, rho_b.rho) @ u.T
+    blocks = list(_sector_unitaries(p, dim))
+    joint = np.kron(rho_a.rho, rho_b.rho)
+    for idx, u in blocks:
+        joint[idx] = u @ joint[idx]
+    for idx, u in blocks:
+        joint[:, idx] = joint[:, idx] @ u.T
     # Cutoff adequacy: population in the top Fock layer of either output mode.
     diag = np.diag(joint).real.reshape(dim, dim)
     top = float(diag[-1, :].sum() + diag[:, -1].sum() - diag[-1, -1])
@@ -239,62 +246,42 @@ def relative_entropy(rho: FockDensityMatrix, sigma: FockDensityMatrix) -> float:
 # ---------------------------------------------------------------------------
 # additive-noise evolution and displacements
 
-def _liouvillian(rho: np.ndarray, qs, ps) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for op in (*qs, *ps):
-        comm = op @ rho - rho @ op
-        out -= 0.25 * (op @ comm - comm @ op)
-    return out
-
-
-def _rk4(rho: np.ndarray, t: float, steps: int, qs, ps) -> np.ndarray:
-    h = t / steps
-    for _ in range(steps):
-        k1 = _liouvillian(rho, qs, ps)
-        k2 = _liouvillian(rho + 0.5 * h * k1, qs, ps)
-        k3 = _liouvillian(rho + 0.5 * h * k2, qs, ps)
-        k4 = _liouvillian(rho + h * k3, qs, ps)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return rho
-
-
 def trace_distance(a: FockDensityMatrix, b: FockDensityMatrix) -> float:
     evs = np.linalg.eigvalsh(a.rho - b.rho)
     return 0.5 * float(np.sum(np.abs(evs)))
 
 
-def liouville_evolve(rho: FockDensityMatrix, t: float, steps: int | None = None,
-                     check: bool = True, accuracy_tol: float = 1e-7) -> FockDensityMatrix:
-    """Evolve under the additive-noise semigroup, fixed-step 4th-order RK.
+def liouville_evolve(rho: FockDensityMatrix, t: float) -> FockDensityMatrix:
+    """Evolve for time t under the additive-noise semigroup, exact on the cutoff.
 
-    The accuracy estimate compares against a run with half as many steps;
-    an estimate above accuracy_tol raises AccuracyError.
+    The generator -1/4 ([Q,[Q,rho]] + [P,[P,rho]]) reads, entrywise,
+    -(c_m + c_n)/4 rho_mn + 1/2 (sqrt(mn) rho_{m-1,n-1}
+    + sqrt((m+1)(n+1)) rho_{m+1,n+1}) with c = diag(a a^dag + a^dag a), i.e.
+    2m + 1 except dim - 1 at the top level of the truncated space.  So each
+    band n - m = +-k evolves on its own under a symmetric tridiagonal
+    matrix, exponentiated here through its eigendecomposition.
     """
     if t < 0:
         raise DomainError("evolution time must be >= 0")
     if t == 0:
         return rho
-    if steps is None:
-        steps = max(100, math.ceil(200.0 * t))
-    q1, p1 = quadratures(rho.dim)
-    qs = [_mode_op(q1, m, rho.modes, rho.dim) for m in range(rho.modes)]
-    ps = [_mode_op(p1, m, rho.modes, rho.dim) for m in range(rho.modes)]
-    fine = _rk4(rho.rho.astype(complex), t, steps, qs, ps)
-    if not np.all(np.isfinite(fine)):
-        raise AccuracyError("integrator diverged; increase steps")
-    out = FockDensityMatrix(rho.modes, rho.dim, fine, validate=False)
-    if check:
-        coarse = _rk4(rho.rho.astype(complex), t, max(1, steps // 2), qs, ps)
-        est = trace_distance(out, FockDensityMatrix(rho.modes, rho.dim, coarse,
-                                                    validate=False))
-        if not math.isfinite(est) or est > accuracy_tol:
-            raise AccuracyError(f"integrator error estimate {est:.3e} exceeds "
-                                f"{accuracy_tol}; increase steps")
-    return FockDensityMatrix(rho.modes, rho.dim, out.rho, validate=True)
+    dim = rho.dim
+    m = np.arange(dim)
+    c = 2.0 * m + 1.0
+    c[-1] = dim - 1
+    out = np.empty_like(rho.rho)
+    for k in range(dim):
+        j = m[:dim - k]                       # band entries (j, j + k)
+        w, v = sla.eigh_tridiagonal(-(c[j] + c[j + k]) / 4.0,
+                                    0.5 * np.sqrt(j[1:] * (j[1:] + k)))
+        prop = (v * np.exp(t * w)) @ v.T
+        out[j, j + k] = prop @ rho.rho[j, j + k]
+        out[j + k, j] = prop @ rho.rho[j + k, j]
+    return FockDensityMatrix(1, dim, out, validate=True)
 
 
-def displace_fock(rho: FockDensityMatrix, direction: str, theta: float,
-                  mode: int = 0) -> FockDensityMatrix:
+def displace_fock(rho: FockDensityMatrix, direction: str,
+                  theta: float) -> FockDensityMatrix:
     """Conjugate by the phase-space translation D_R(theta).
 
     direction "q" shifts <Q> by +theta (unitary exp(-i theta P)),
@@ -304,29 +291,23 @@ def displace_fock(rho: FockDensityMatrix, direction: str, theta: float,
         raise DomainError(f"direction must be 'q' or 'p', got {direction!r}")
     q1, p1 = quadratures(rho.dim)
     gen = -1j * theta * p1 if direction == "q" else 1j * theta * q1
-    u = _mode_op(sla.expm(gen), mode, rho.modes, rho.dim)
+    u = sla.expm(gen)
     out = u @ rho.rho @ u.conj().T
-    fdm = FockDensityMatrix(rho.modes, rho.dim, out, validate=True)
+    fdm = FockDensityMatrix(1, rho.dim, out, validate=True)
     leak = trace_leak(fdm)
     if leak > LEAK_TOL:
         raise CutoffError(f"displacement leak {leak:.3e} at cutoff {rho.dim}", leak=leak)
     return fdm
 
 
-def expectation(rho: FockDensityMatrix, op: np.ndarray, mode: int = 0) -> float:
-    full = _mode_op(op, mode, rho.modes, rho.dim)
-    return float(np.trace(full @ rho.rho).real)
+def expectation(rho: FockDensityMatrix, op: np.ndarray) -> float:
+    return float(np.trace(op @ rho.rho).real)
 
 
 def trace_leak(rho: FockDensityMatrix) -> float:
     """Trace deficit plus population of the highest Fock layer (cutoff gate)."""
     tr_def = abs(1.0 - float(np.trace(rho.rho).real))
-    diag = np.diag(rho.rho).real
-    if rho.modes == 1:
-        top = float(diag[-1])
-    else:
-        d2 = diag.reshape(rho.dim, rho.dim)
-        top = float(d2[-1, :].sum() + d2[:, -1].sum() - d2[-1, -1])
+    top = float(rho.rho[-1, -1].real)
     return tr_def + max(top, 0.0)
 
 

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from qepi import fock
 from qepi.cli import main
 
 
@@ -46,11 +47,29 @@ def test_verify_bad_kappa_usage_error():
 def test_verify_huge_nu_max():
     # entropies past 38 nats, where photon numbers exceed 1e16
     assert main(["verify", "--trials", "3", "--nu-max", "1e20"]) == 0
+    # photon numbers near 1e100 round by far more than 1/e - 1/2
+    assert main(["verify", "--trials", "3", "--nu-max", "1e100"]) == 0
 
 
 def test_oracle_small_cutoff_infeasible(capsys):
     assert main(["oracle", "--cutoff", "8"]) == 3
     assert "infeasible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cutoff", ["0", "-3"])
+def test_oracle_cutoff_below_one_usage_error(cutoff, capsys):
+    assert main(["oracle", "--cutoff", cutoff]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [fock.NumericError, fock.AccuracyError])
+def test_oracle_numerical_failure_exits_one(error, monkeypatch, capsys):
+    def failing(rho):
+        raise error("forced failure")
+    monkeypatch.setattr(fock, "vn_entropy", failing)
+    assert main(["oracle", "--cutoff", "30"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "forced failure" in err[0]
 
 
 def test_oracle_default_passes(tmp_path):

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from qepi import fock
-from qepi.channels import MixingParams
+from qepi.channels import BEAM_SPLITTER, MixingParams
 from qepi.symplectic import DomainError, g
 
 G_HALF = 0.9547712524422192
@@ -152,10 +153,70 @@ def test_liouville_evolve_fock_input():
     assert abs(np.trace(evolved.rho).real - 1.0) < 1e-8
 
 
-def test_liouville_accuracy_gate():
-    vac = fock.vacuum_state(30)
-    with pytest.raises(fock.AccuracyError):
-        fock.liouville_evolve(vac, 3.0, steps=4)
+def _random_full_rank(rng, dim):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T
+    return fock.FockDensityMatrix(1, dim, rho / np.trace(rho).real)
+
+
+def _dense_mix(rho_a, rho_b, p):
+    """Reference: expm of the dense generator on the dim^2 product space."""
+    dim = rho_a.dim
+    a = fock.ladder(dim)
+    op_a, op_b = np.kron(a, np.eye(dim)), np.kron(np.eye(dim), a)
+    if p.kind == BEAM_SPLITTER:
+        theta = math.atan(math.sqrt((1.0 - p.lambda_A) / p.lambda_A))
+        gen = theta * (op_a.conj().T @ op_b - op_a @ op_b.conj().T)
+    else:
+        r = math.atanh(math.sqrt((p.lambda_A - 1.0) / p.lambda_A))
+        gen = r * (op_a.conj().T @ op_b.conj().T - op_a @ op_b)
+    u = sla.expm(gen)
+    joint = u @ np.kron(rho_a.rho, rho_b.rho) @ u.conj().T
+    out = np.einsum("ijkj->ik", joint.reshape(dim, dim, dim, dim))
+    return out / np.trace(out).real
+
+
+@pytest.mark.parametrize("params", [MixingParams.beam_splitter(0.3),
+                                    MixingParams.beam_splitter(0.9),
+                                    MixingParams.amplifier(1.1),
+                                    MixingParams.amplifier(2.0),
+                                    MixingParams.amplifier(16.0)])
+@pytest.mark.parametrize("dim", [8, 12])
+def test_two_mode_mix_matches_dense_reference(params, dim):
+    rng = np.random.default_rng(dim)
+    rho_a, rho_b = _random_full_rank(rng, dim), _random_full_rank(rng, dim)
+    out = fock.two_mode_mix(rho_a, rho_b, params, leak_tol=1.0)
+    assert np.max(np.abs(out.rho - _dense_mix(rho_a, rho_b, params))) < 1e-12
+
+
+def _dense_noise_superoperator(dim):
+    """Reference: -1/4 ([Q,[Q,.]] + [P,[P,.]]) on row-major vec(rho)."""
+    eye = np.eye(dim)
+    gen = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for op in fock.quadratures(dim):
+        sq = op @ op
+        gen -= 0.25 * (np.kron(sq, eye) + np.kron(eye, sq.T) - 2.0 * np.kron(op, op.T))
+    return gen
+
+
+@pytest.mark.parametrize("t", [0.01, 0.7, 3.0])
+def test_liouville_evolve_matches_dense_reference(t):
+    dim = 10
+    rho = _random_full_rank(np.random.default_rng(7), dim)
+    want = sla.expm(t * _dense_noise_superoperator(dim)) @ rho.rho.reshape(-1)
+    got = fock.liouville_evolve(rho, t)
+    assert np.max(np.abs(got.rho - want.reshape(dim, dim))) < 1e-12
+    assert abs(np.trace(got.rho).real - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("t", [0.01, 0.7, 3.0])
+def test_liouville_evolve_thermal_stays_thermal(t):
+    # additive noise for time t adds t/2 photons to a thermal state
+    dim = 120
+    got = fock.liouville_evolve(fock.thermal_state(0.7, dim), t)
+    want = fock.thermal_state(0.7 + t / 2.0, dim)
+    assert np.max(np.abs(got.rho - want.rho)) < 1e-12
+    assert abs(np.trace(got.rho).real - 1.0) < 1e-12
 
 
 def test_displace_fock_properties():
@@ -210,3 +271,5 @@ def test_density_matrix_validation():
         fock.FockDensityMatrix(1, 4, m)
     with pytest.raises(DomainError):
         fock.FockDensityMatrix(3, 4, np.eye(64, dtype=complex) / 64.0)
+    with pytest.raises(DomainError):
+        fock.FockDensityMatrix(2, 4, np.eye(16, dtype=complex) / 16.0)

@@ -81,6 +81,15 @@ def test_epni_floor_violated_below():
     assert not bad.holds
 
 
+def test_epni_floor_tolerance_scales_with_photon_number():
+    # N ~ 1e18 rounds by about a thousand photons; that is no violation
+    assert epni_gap(1e18, 1e18, 1e18 - 4096.0, 0.5).holds
+    assert not epni_gap(1e18, 1e18, 1e18 - 1e10, 0.5).holds
+    summary = random_qepi_suite(200, 0, MixingParams.beam_splitter(0.5), nu_max=1e20)
+    assert summary.failures == []
+    assert summary.photon_gap_floor_ok
+
+
 def test_epni_gap_domain():
     with pytest.raises(DomainError):
         epni_gap(1.0, 1.0, 1.0, 1.4)
