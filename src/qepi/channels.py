@@ -59,25 +59,34 @@ def time_reversal_matrix(n: int) -> np.ndarray:
 
 
 def mix(a: GaussianState, b: GaussianState, p: MixingParams) -> GaussianState:
-    """Gaussian output of the beam splitter / amplifier on the A port."""
+    """Gaussian output of the beam splitter / amplifier on the A port.
+
+    Stacks of states broadcast against each other over their leading axes.
+    """
     if a.n != b.n:
         raise ValidationError(f"mode count mismatch: {a.n} vs {b.n}")
     if p.kind == BEAM_SPLITTER:
         gamma_b, d_b = b.gamma, b.d
     else:
         t = time_reversal_matrix(b.n)
-        gamma_b, d_b = t @ b.gamma @ t, t @ b.d
+        gamma_b, d_b = t @ b.gamma @ t, b.d @ t
     gamma = p.lambda_A * a.gamma + p.lambda_B * gamma_b
     d = math.sqrt(p.lambda_A) * a.d + math.sqrt(p.lambda_B) * d_b
     return GaussianState(a.n, gamma, d, validate=False)
 
 
-def add_noise(state: GaussianState, t: float) -> GaussianState:
-    """Additive Gaussian noise semigroup: gamma -> gamma + t*I, d unchanged."""
-    if t < 0:
+def add_noise(state: GaussianState, t) -> GaussianState:
+    """Additive Gaussian noise semigroup: gamma -> gamma + t*I, d unchanged.
+
+    t may be an array of times; it broadcasts against the leading axes of
+    the state, so an array of shape (k,) on one state gives k states.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise DomainError(f"noise time must be >= 0, got {t}")
-    return GaussianState(state.n, state.gamma + t * np.eye(2 * state.n),
-                         state.d, validate=False)
+    gamma = state.gamma + t[..., None, None] * np.eye(2 * state.n)
+    return GaussianState(state.n, gamma, np.broadcast_to(state.d, gamma.shape[:-1]),
+                         validate=False)
 
 
 def displace(state: GaussianState, index: int, amount: float) -> GaussianState:
@@ -85,13 +94,13 @@ def displace(state: GaussianState, index: int, amount: float) -> GaussianState:
     if not (0 <= index < 2 * state.n):
         raise DomainError(f"quadrature index {index} out of range for n={state.n}")
     d = state.d.copy()
-    d[index] += amount
+    d[..., index] += amount
     return GaussianState(state.n, state.gamma, d, validate=False)
 
 
 def time_reverse(state: GaussianState) -> GaussianState:
     t = time_reversal_matrix(state.n)
-    return GaussianState(state.n, t @ state.gamma @ t, t @ state.d, validate=False)
+    return GaussianState(state.n, t @ state.gamma @ t, state.d @ t, validate=False)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Command-line front end: verification suites, figure data, oracle cross-checks.
 
-Exit codes: 0 success, 1 inequality violation found, 2 usage error,
-3 oracle infeasibility (cutoff too small).
+Exit codes: 0 success, 1 inequality violation found, oracle disagreement
+or a numerical failure in the oracle, 2 usage error, 3 oracle
+infeasibility (cutoff too small).
 """
 
 from __future__ import annotations
@@ -98,10 +99,10 @@ def cmd_figures(args) -> int:
     writer.writerow(["S_bar", "lambda", "gaussian_ansatz", "qepi_bound"])
     lams = np.linspace(0.0, 1.0, 201)
     for s_bar in (0.5, 1.0, 1.5):
-        for lam in lams:
+        rows = zip(lams, moe_conjectured(s_bar, lams), moe_bound(s_bar, lams))
+        for lam, ansatz, bound in rows:
             writer.writerow([f"{s_bar:.10g}", f"{lam:.10g}",
-                             f"{moe_conjectured(s_bar, float(lam)):.12g}",
-                             f"{moe_bound(s_bar, float(lam)):.12g}"])
+                             f"{ansatz:.12g}", f"{bound:.12g}"])
     _atomic_write(os.path.join(outdir, "moe_bounds.csv"), buf.getvalue())
 
     points = broadcast.capacity_region(args.transmissivity or 0.8, args.n_bar,

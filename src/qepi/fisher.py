@@ -39,29 +39,37 @@ class FisherRecord:
                 "per_direction": list(self.per_direction)}
 
 
+def full_rank(state: GaussianState):
+    """Whether each state is far enough from purity for a finite Fisher information.
+
+    True where the smallest symplectic eigenvalue is at least
+    1 + FULL_RANK_NU_TOL; a bool for one state, an array for a stack.
+    """
+    return symplectic_eigenvalues(state)[..., 0] >= 1.0 + FULL_RANK_NU_TOL
+
+
 def fisher_total_gaussian(state: GaussianState, h: float = 1e-3) -> FisherRecord:
     """Total Fisher information of a Gaussian state via 4 dS/dt at t = 0.
 
     Central differences in the noise time with one Richardson step; the
     entropy of gamma + t*I is smooth in t even at degenerate symplectic
-    eigenvalues.
+    eigenvalues.  On a stack of states, total is an array over its leading
+    axes, and DivergenceError is raised if any state is near-pure.
     """
-    rep = symplectic_eigenvalues(state)
-    if rep.min_nu < 1.0 + FULL_RANK_NU_TOL:
-        raise DivergenceError(
-            f"Fisher information diverges near purity (min nu = {rep.min_nu})")
+    if not np.all(full_rank(state)):
+        raise DivergenceError("Fisher information diverges near purity "
+                              f"(min nu below 1 + {FULL_RANK_NU_TOL})")
     # Forward differences only: t < 0 could leave the physical cone for
     # near-pure squeezed states.  Two Richardson levels give O(h^3) error.
-    s0 = entropy(state)
-
-    def d(step: float) -> float:
-        return (entropy(add_noise(state, step)) - s0) / step
-
-    d1, d2, d4 = d(h), d(h / 2.0), d(h / 4.0)
+    times = np.array([0.0, h, h / 2.0, h / 4.0])
+    times = times.reshape((4,) + (1,) * (state.gamma.ndim - 2))
+    s0, s1, s2, s4 = entropy(add_noise(state, times))
+    d1, d2, d4 = (s1 - s0) / h, (s2 - s0) / (h / 2.0), (s4 - s0) / (h / 4.0)
     r1 = 2.0 * d2 - d1
     r2 = 2.0 * d4 - d2
-    deriv = r2 + (r2 - r1) / 3.0
-    return FisherRecord(total=4.0 * deriv, method="gaussian_debruijn",
+    total = 4.0 * (r2 + (r2 - r1) / 3.0)
+    return FisherRecord(total=float(total) if np.ndim(total) == 0 else total,
+                        method="gaussian_debruijn",
                         state_ref=f"gaussian(n={state.n})")
 
 

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import AMPLIFIER, BEAM_SPLITTER, MixingParams, add_noise, mix
-from .fisher import DivergenceError, fisher_total_gaussian, stam_check
+from .fisher import fisher_total_gaussian, full_rank, stam_check
 from .symplectic import (DomainError, GaussianState, entropy, g, g_inv,
-                         photon_number, random_gaussian_state,
-                         symplectic_eigenvalues)
+                         random_gaussian_state)
 
 GAUSSIAN_SLACK_TOL = 1e-9
 ORACLE_SLACK_TOL = 1e-6
@@ -104,21 +103,34 @@ def amplifier_photon_gap(n_a: float, n_b: float, n_c: float, gain: float) -> flo
 # ---------------------------------------------------------------------------
 # minimum output entropy bound and its gap surface
 
-def moe_bound(s_bar: float, transmissivity: float) -> float:
-    """Proven lower bound ln[lam e^{S} + (1-lam)] on the output entropy."""
-    if s_bar < 0 or not (0.0 <= transmissivity <= 1.0):
+def _moe_domain(s_bar, transmissivity):
+    s = np.asarray(s_bar, dtype=float)
+    lam = np.asarray(transmissivity, dtype=float)
+    if np.any(s < 0) or not np.all((lam >= 0.0) & (lam <= 1.0)):
         raise DomainError("need S >= 0 and lam in [0,1]")
-    return math.log(transmissivity * math.exp(s_bar) + 1.0 - transmissivity)
+    return s, lam
 
 
-def moe_conjectured(s_bar: float, transmissivity: float) -> float:
-    """Conjectured minimum g(lam g_inv(S)), attained by the thermal input."""
-    if s_bar < 0 or not (0.0 <= transmissivity <= 1.0):
-        raise DomainError("need S >= 0 and lam in [0,1]")
-    return g(transmissivity * g_inv(s_bar))
+def moe_bound(s_bar, transmissivity):
+    """Proven lower bound ln[lam e^{S} + (1-lam)] on the output entropy.
+
+    Arrays broadcast; a float for float arguments.
+    """
+    s, lam = _moe_domain(s_bar, transmissivity)
+    out = np.log(lam * np.exp(s) + 1.0 - lam)
+    return float(out) if out.ndim == 0 else out
 
 
-def moe_delta(s_bar: float, transmissivity: float) -> float:
+def moe_conjectured(s_bar, transmissivity):
+    """Conjectured minimum g(lam g_inv(S)), attained by the thermal input.
+
+    Arrays broadcast; a float for float arguments.
+    """
+    s, lam = _moe_domain(s_bar, transmissivity)
+    return g(lam * g_inv(s))
+
+
+def moe_delta(s_bar, transmissivity):
     """Gap between the conjectured minimum and the proven bound; >= 0."""
     return moe_conjectured(s_bar, transmissivity) - moe_bound(s_bar, transmissivity)
 
@@ -130,9 +142,7 @@ def delta_surface(s_grid=None, lam_grid=None):
     if lam_grid is None:
         lam_grid = np.linspace(0.0, 1.0, 201)
     s_grid, lam_grid = np.asarray(s_grid, dtype=float), np.asarray(lam_grid, dtype=float)
-    surface = (g(lam_grid[None, :] * g_inv(s_grid)[:, None])
-               - np.log(lam_grid * np.exp(s_grid)[:, None] + 1.0 - lam_grid))
-    return s_grid, lam_grid, surface
+    return s_grid, lam_grid, moe_delta(s_grid[:, None], lam_grid[None, :])
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 60) -> float:
@@ -257,19 +267,12 @@ def asymptotic_check(state: GaussianState, t_grid,
         raise DomainError("times must be nonnegative")
     n = state.n
     lam0 = float(np.max(np.linalg.eigvalsh(state.gamma)))
-    eps, bounds, ratios = [], [], []
-    for t in t_grid:
-        s = entropy(add_noise(state, float(t)))
-        ep = math.exp(s / n)
-        eps.append(ep)
-        bounds.append(math.e * (lam0 + t) / 2.0 + upper_margin)
-        ratios.append(ep / (math.e * t / 2.0) - 1.0 if t > 0 else float("nan"))
-    eps = np.array(eps)
-    bounds = np.array(bounds)
-    ratios = np.array(ratios)
-    with np.errstate(divide="ignore"):
-        tol = (lam0 + 2.0) / t_grid
-    ok_ratio = all(abs(r) <= tl for r, tl in zip(ratios, tol) if not math.isnan(r))
+    eps = np.exp(entropy(add_noise(state, t_grid)) / n)
+    bounds = math.e * (lam0 + t_grid) / 2.0 + upper_margin
+    pos = t_grid > 0
+    ratios = np.full(t_grid.shape, np.nan)
+    ratios[pos] = eps[pos] / (math.e * t_grid[pos] / 2.0) - 1.0
+    ok_ratio = bool(np.all(np.abs(ratios[pos]) <= (lam0 + 2.0) / t_grid[pos]))
     return AsymptoticReport(t_grid=t_grid, entropy_power=eps, upper_bound=bounds,
                             ratio_to_linear=ratios,
                             upper_bound_holds=bool(np.all(eps <= bounds)),
@@ -290,6 +293,7 @@ class SuiteSummary:
     min_stam_slack: float
     min_photon_gap: float
     photon_gap_floor_ok: bool
+    stam_skipped: int                    # trials with a near-pure A, B or C
     failures: list
     gap_histogram: list
     gap_bin_edges: list
@@ -302,6 +306,7 @@ class SuiteSummary:
                 "min_stam_slack": self.min_stam_slack,
                 "min_photon_gap": self.min_photon_gap,
                 "photon_gap_floor_ok": self.photon_gap_floor_ok,
+                "stam_skipped": self.stam_skipped,
                 "failures": self.failures,
                 "gap_histogram": self.gap_histogram,
                 "gap_bin_edges": self.gap_bin_edges}
@@ -313,20 +318,33 @@ def random_qepi_suite(trials: int, seed: int, p: MixingParams,
     """Run all closed-form inequality checks on random Gaussian pairs.
 
     Deterministic per seed: each trial draws from an independent stream
-    derived from (seed, trial index).
+    derived from (seed, trial index), so any trial can be replayed alone.
+    The draws are stacked and mixed, and their entropies, photon numbers
+    and Fisher informations computed, one call per stack.  Trials with a
+    near-pure A, B or C are out of Stam's domain and counted as skipped.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
+    gammas = np.array([[random_gaussian_state(
+        1, np.random.default_rng(np.random.SeedSequence((seed, idx, k))),
+        nu_max=nu_max, r_max=r_max).gamma for k in (0, 1)] for idx in range(trials)])
+    a = GaussianState(1, gammas[:, 0], validate=False)
+    b = GaussianState(1, gammas[:, 1], validate=False)
+    c = mix(a, b, p)
+    entropies = np.stack([entropy(a), entropy(b), entropy(c)], axis=-1)
+    photons = g_inv(entropies)
+    stam_rows = np.zeros(trials, dtype=bool)
+    if with_stam:
+        stam_rows = full_rank(a) & full_rank(b) & full_rank(c)
+        fisher_info = np.full((trials, 3), np.nan)
+        fisher_info[stam_rows] = fisher_total_gaussian(GaussianState(1, np.stack(
+            [a.gamma[stam_rows], b.gamma[stam_rows], c.gamma[stam_rows]], axis=1),
+            validate=False)).total
     min_qepi = min_lin = min_stam = min_gap = float("inf")
     gaps = []
     failures = []
     for idx in range(trials):
-        rng_a = np.random.default_rng(np.random.SeedSequence((seed, idx, 0)))
-        rng_b = np.random.default_rng(np.random.SeedSequence((seed, idx, 1)))
-        a = random_gaussian_state(1, rng_a, nu_max=nu_max, r_max=r_max)
-        b = random_gaussian_state(1, rng_b, nu_max=nu_max, r_max=r_max)
-        s_a, s_b = entropy(a), entropy(b)
-        s_c = entropy(mix(a, b, p))
+        s_a, s_b, s_c = entropies[idx].tolist()
         rep_q = qepi_check(s_a, s_b, s_c, 1, p)
         rep_l = linear_check(s_a, s_b, s_c, 1, p)
         min_qepi = min(min_qepi, rep_q.slack)
@@ -334,7 +352,7 @@ def random_qepi_suite(trials: int, seed: int, p: MixingParams,
         for rep in (rep_q, rep_l):
             if not rep.holds:
                 failures.append(rep.to_dict() | {"trial": idx})
-        n_a, n_b, n_c = g_inv(np.array([s_a, s_b, s_c])).tolist()
+        n_a, n_b, n_c = photons[idx].tolist()
         if p.kind == BEAM_SPLITTER:
             rep_g = epni_gap(n_a, n_b, n_c, p.lambda_A)
             gaps.append(rep_g.inputs["gap"])
@@ -343,14 +361,8 @@ def random_qepi_suite(trials: int, seed: int, p: MixingParams,
                 failures.append(rep_g.to_dict() | {"trial": idx})
         else:
             gaps.append(amplifier_photon_gap(n_a, n_b, n_c, p.lambda_A))
-        if with_stam:
-            try:
-                j_a = fisher_total_gaussian(a).total
-                j_b = fisher_total_gaussian(b).total
-                j_c = fisher_total_gaussian(mix(a, b, p)).total
-            except DivergenceError:
-                continue  # near-pure draws are out of Stam's domain
-            rep_s = stam_check(j_a, j_b, j_c, p)
+        if stam_rows[idx]:
+            rep_s = stam_check(*fisher_info[idx].tolist(), p)
             min_stam = min(min_stam, rep_s.slack)
             if not rep_s.holds:
                 failures.append(rep_s.to_dict() | {"trial": idx})
@@ -360,6 +372,7 @@ def random_qepi_suite(trials: int, seed: int, p: MixingParams,
                         min_stam_slack=min_stam, min_photon_gap=min_gap,
                         photon_gap_floor_ok=not any(f["name"] == "epni_floor"
                                                     for f in failures),
+                        stam_skipped=int(trials - stam_rows.sum()) if with_stam else 0,
                         failures=failures,
                         gap_histogram=[int(x) for x in hist],
                         gap_bin_edges=[float(x) for x in edges])

@@ -38,15 +38,12 @@ def symplectic_form(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpectrumReport:
-    nus: np.ndarray       # sorted ascending, length n
-    min_nu: float
-    physical: bool
-
-
-@dataclass(frozen=True)
 class GaussianState:
-    """n-mode Gaussian state: covariance matrix gamma and displacement d."""
+    """n-mode Gaussian state: covariance matrix gamma and displacement d.
+
+    gamma has shape (..., 2n, 2n) and d shape (..., 2n): leading axes hold a
+    stack of states, and one state is the case with no leading axes.
+    """
 
     n: int
     gamma: np.ndarray
@@ -54,31 +51,30 @@ class GaussianState:
 
     def __init__(self, n: int, gamma, d=None, validate: bool = True):
         gamma = np.array(gamma, dtype=float)
-        if d is None:
-            d = np.zeros(2 * n)
-        d = np.array(d, dtype=float)
-        if gamma.shape != (2 * n, 2 * n):
+        if gamma.shape[-2:] != (2 * n, 2 * n):
             raise ValidationError(
                 f"covariance matrix must be {2*n}x{2*n}, got {gamma.shape}")
-        if d.shape != (2 * n,):
+        d = np.zeros(gamma.shape[:-1]) if d is None else np.array(d, dtype=float)
+        if d.shape != gamma.shape[:-1]:
             raise ValidationError(
-                f"displacement must have length {2*n}, got {d.shape}")
+                f"displacement must have shape {gamma.shape[:-1]}, got {d.shape}")
         if validate:
-            asym = np.max(np.abs(gamma - gamma.T))
+            asym = np.max(np.abs(gamma - gamma.swapaxes(-1, -2)))
             if asym > SYMMETRY_TOL:
                 raise ValidationError(
                     f"covariance matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
-            gamma = 0.5 * (gamma + gamma.T)
+            gamma = 0.5 * (gamma + gamma.swapaxes(-1, -2))
         gamma.flags.writeable = False
         d.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "d", d)
         if validate:
-            rep = symplectic_eigenvalues(self)
-            if not rep.physical:
+            nus = symplectic_eigenvalues(self)
+            # written so that a NaN spectrum (non-finite gamma) fails too
+            if not np.all(nus[..., 0] >= 1.0 - PHYSICALITY_TOL):
                 raise ValidationError(
-                    f"unphysical state: min symplectic eigenvalue {rep.min_nu}")
+                    f"unphysical state: min symplectic eigenvalue {nus.min()}")
 
     @classmethod
     def vacuum(cls, n: int = 1) -> "GaussianState":
@@ -105,22 +101,22 @@ class GaussianState:
         return cls(n, gamma, np.array(obj["d"], dtype=float))
 
 
-def symplectic_eigenvalues(state: GaussianState) -> SpectrumReport:
-    """Symplectic spectrum of the covariance matrix.
+def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
+    """Symplectic spectrum nu of each covariance matrix, shape (..., n), ascending.
 
-    The eigenvalues of Omega @ gamma come in pairs +-i*nu; the returned
-    nus are the n distinct moduli, sorted ascending.
+    With gamma = L L^T (Cholesky), the Hermitian matrix L^T (i Omega) L is
+    similar to i Omega gamma, whose eigenvalues are +-nu_k; the upper n of
+    its eigvalsh are the nu_k.  A gamma that is not positive definite is no
+    covariance matrix and raises ValidationError.  Symmetry is checked only
+    by a validating GaussianState; states built with validate=False are
+    trusted to be symmetric.
     """
-    gamma = state.gamma
-    asym = np.max(np.abs(gamma - gamma.T))
-    if asym > SYMMETRY_TOL:
-        raise ValidationError(f"covariance matrix asymmetry {asym:.3e}")
-    omega = symplectic_form(state.n)
-    evals = np.linalg.eigvals(omega @ gamma)
-    nus = np.sort(np.abs(evals))[::2]  # each nu appears twice
-    min_nu = float(nus[0])
-    return SpectrumReport(nus=nus, min_nu=min_nu,
-                          physical=min_nu >= 1.0 - PHYSICALITY_TOL)
+    try:
+        chol = np.linalg.cholesky(state.gamma)
+    except np.linalg.LinAlgError:
+        raise ValidationError("covariance matrix is not positive definite") from None
+    herm = chol.swapaxes(-1, -2) @ (1j * symplectic_form(state.n)) @ chol
+    return np.linalg.eigvalsh(herm)[..., state.n:]
 
 
 def g(mean_photons) -> float:
@@ -178,13 +174,16 @@ def g_inv(entropy_nats) -> float:
     return float(x) if x.ndim == 0 else x
 
 
-def entropy(state: GaussianState) -> float:
-    """Von Neumann entropy of a Gaussian state, sum of g((nu-1)/2)."""
-    rep = symplectic_eigenvalues(state)
-    if not rep.physical:
-        raise ValidationError(f"unphysical state: min nu {rep.min_nu}")
-    nus = np.maximum(rep.nus, 1.0)
-    return float(np.sum(g((nus - 1.0) / 2.0)))
+def entropy(state: GaussianState):
+    """Von Neumann entropy of a Gaussian state, sum of g((nu-1)/2).
+
+    A float for one state, an array over the leading axes for a stack.
+    """
+    nus = symplectic_eigenvalues(state)
+    if not np.all(nus[..., 0] >= 1.0 - PHYSICALITY_TOL):
+        raise ValidationError(f"unphysical state: min nu {nus.min()}")
+    out = np.sum(g((np.maximum(nus, 1.0) - 1.0) / 2.0), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def entropy_power(entropy_nats: float, n: int) -> float:

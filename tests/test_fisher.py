@@ -6,7 +6,7 @@ import pytest
 from qepi import fock
 from qepi.channels import MixingParams, mix
 from qepi.fisher import (DivergenceError, debruijn_check, fisher_direction_fock,
-                         fisher_total_fock, fisher_total_gaussian,
+                         fisher_total_fock, fisher_total_gaussian, full_rank,
                          optimal_weights, stam_check, weighted_fisher_check)
 from qepi.symplectic import GaussianState, entropy, random_gaussian_state
 
@@ -35,6 +35,23 @@ def test_gaussian_route_additive_over_modes():
 def test_gaussian_route_rejects_near_pure():
     with pytest.raises(DivergenceError):
         fisher_total_gaussian(GaussianState.vacuum())
+    # one near-pure row is enough to refuse a stack
+    with pytest.raises(DivergenceError):
+        fisher_total_gaussian(GaussianState(1, [3.0 * np.eye(2), np.eye(2)]))
+    assert full_rank(GaussianState(1, [3.0 * np.eye(2), np.eye(2)])).tolist() == [
+        True, False]
+
+
+def test_gaussian_route_stack_matches_rows():
+    states = [random_gaussian_state(1, seed, nu_max=8.0, r_max=1.0) for seed in range(6)]
+    states = [state for state in states if full_rank(state)]
+    stack = GaussianState(1, [[state.gamma] * 2 for state in states])
+    total = fisher_total_gaussian(stack).total
+    assert total.shape == (len(states), 2)
+    for k, state in enumerate(states):
+        one = fisher_total_gaussian(state).total
+        assert isinstance(one, float)
+        assert total[k, 0] == total[k, 1] == pytest.approx(one, rel=1e-12)
 
 
 def test_fock_route_thermal_direction():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qepi import inequalities
 from qepi.channels import MixingParams, mix
+from qepi.fisher import DivergenceError, fisher_total_gaussian
 from qepi.inequalities import (EPNI_FLOOR, amplifier_photon_gap,
                                asymptotic_check, delta_surface,
                                delta_surface_max, epni_gap, linear_check,
@@ -105,6 +106,16 @@ def test_moe_frozen_values():
     assert moe_bound(1.0, 0.5) == pytest.approx(MOE_BOUND_1_HALF, abs=1e-12)
     assert moe_delta(1.0, 0.5) == pytest.approx(
         MOE_CONJ_1_HALF - MOE_BOUND_1_HALF, abs=1e-12)
+    assert all(isinstance(f(1.0, 0.5), float)
+               for f in (moe_bound, moe_conjectured, moe_delta))
+    lams = np.array([0.2, 0.5])
+    assert moe_conjectured(1.0, lams)[1] == pytest.approx(MOE_CONJ_1_HALF, abs=1e-12)
+    assert moe_bound(1.0, lams)[1] == pytest.approx(MOE_BOUND_1_HALF, abs=1e-12)
+    for s_bar, lam in ((1.0, np.array([0.5, 1.5])), (np.array([1.0, -0.1]), 0.5),
+                       (1.0, float("nan"))):
+        for f in (moe_bound, moe_conjectured, moe_delta):
+            with pytest.raises(DomainError):
+                f(s_bar, lam)
 
 
 def test_moe_edges_vanish():
@@ -224,6 +235,30 @@ def test_suite_with_stam():
                                 with_stam=True)
     assert summary.failures == []
     assert summary.min_stam_slack >= -1e-9
+    assert summary.to_dict()["stam_skipped"] == summary.stam_skipped
+    assert random_qepi_suite(10, 5, MixingParams.beam_splitter(0.5)).stam_skipped == 0
+
+
+@pytest.mark.parametrize("params", [MixingParams.beam_splitter(0.5),
+                                    MixingParams.amplifier(1.5)])
+def test_suite_counts_stam_skips(params):
+    # near-pure draws: some trials skip, some do not; count them per trial
+    # with the per-trial rule, a DivergenceError from any of A, B and C
+    trials, seed, nu_max = 60, 4, 1.0 + 1e-5
+    want = 0
+    for idx in range(trials):
+        a, b = (random_gaussian_state(
+            1, np.random.default_rng(np.random.SeedSequence((seed, idx, k))),
+            nu_max=nu_max) for k in (0, 1))
+        try:
+            for state in (a, b, mix(a, b, params)):
+                fisher_total_gaussian(state)
+        except DivergenceError:
+            want += 1
+    summary = random_qepi_suite(trials, seed, params, nu_max=nu_max, with_stam=True)
+    assert 0 < want < trials
+    assert summary.stam_skipped == want
+    assert summary.failures == []
 
 
 def test_suite_stam_propagates_unexpected_errors(monkeypatch):
@@ -242,5 +277,10 @@ def test_suite_degenerate_vacuum_generator():
                                 nu_max=1.0, r_max=0.0)
     assert summary.failures == []
     assert summary.min_qepi_slack == pytest.approx(0.0, abs=1e-12)
+    # pure states are out of Stam's domain: every trial is skipped
+    summary = random_qepi_suite(20, 0, MixingParams.beam_splitter(0.5),
+                                nu_max=1.0, r_max=0.0, with_stam=True)
+    assert summary.stam_skipped == 20
+    assert summary.min_stam_slack == math.inf
     with pytest.raises(DomainError):
         random_qepi_suite(0, 0, MixingParams.beam_splitter(0.5))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qepi.symplectic import (G_MAX, DomainError, GaussianState, ValidationError,
+from qepi.symplectic import (G_MAX, PHYSICALITY_TOL, DomainError, GaussianState,
+                             ValidationError,
                              delta, entropy, entropy_power, g, g_inv, photon_number,
                              random_gaussian_state, symplectic_eigenvalues,
                              symplectic_form)
@@ -133,31 +134,45 @@ def test_symplectic_form_properties():
 
 
 def test_symplectic_eigenvalues_williamson_forms():
-    rep = symplectic_eigenvalues(GaussianState(1, np.diag([3.0, 3.0])))
-    assert rep.nus == pytest.approx([3.0], abs=1e-12)
+    nus = symplectic_eigenvalues(GaussianState(1, np.diag([3.0, 3.0])))
+    assert nus == pytest.approx([3.0], abs=1e-12)
     r = 0.8
-    rep = symplectic_eigenvalues(
+    nus = symplectic_eigenvalues(
         GaussianState(1, np.diag([math.exp(2 * r), math.exp(-2 * r)])))
-    assert rep.nus == pytest.approx([1.0], abs=1e-12)
-    rep = symplectic_eigenvalues(GaussianState(2, np.diag([2.0, 2.0, 5.0, 5.0])))
-    assert rep.nus == pytest.approx([2.0, 5.0], abs=1e-12)
+    assert nus == pytest.approx([1.0], abs=1e-12)
+    nus = symplectic_eigenvalues(GaussianState(2, np.diag([2.0, 2.0, 5.0, 5.0])))
+    assert nus == pytest.approx([2.0, 5.0], abs=1e-12)
 
 
-@given(st.integers(min_value=0, max_value=10 ** 9))
-@settings(max_examples=40, deadline=None)
-def test_spectrum_invariant_under_random_symplectic(seed):
+@given(st.integers(min_value=0, max_value=10 ** 9), st.sampled_from([1, 2, 3]),
+       st.sampled_from([1.0 + 1e-9, 8.0]), st.floats(min_value=0.0, max_value=3.0))
+@settings(max_examples=60, deadline=None)
+def test_spectrum_invariant_under_random_symplectic(seed, n, nu_max, r_max):
     # the generator conjugates a Williamson form by a random symplectic, so
     # the drawn eigenvalues must be recovered by the eigensolver
-    state = random_gaussian_state(2, seed, nu_max=8.0, r_max=1.2)
-    got = symplectic_eigenvalues(state).nus
-    # same seed stream: regenerate to learn the drawn nus
-    rng2 = np.random.default_rng(seed)
-    drawn = np.sort(np.exp(rng2.uniform(0.0, math.log(8.0), size=2)))
-    assert got == pytest.approx(drawn, abs=1e-8)
+    states = [random_gaussian_state(n, seed + k, nu_max=nu_max, r_max=r_max)
+              for k in range(3)]
+    stack = GaussianState(n, [state.gamma for state in states], validate=False)
+    nus, entropies = symplectic_eigenvalues(stack), entropy(stack)
+    assert nus.shape == (3, n) and entropies.shape == (3,)
+    for k, state in enumerate(states):
+        # same seed stream: regenerate to learn the drawn nus
+        rng2 = np.random.default_rng(seed + k)
+        drawn = np.sort(np.exp(rng2.uniform(0.0, math.log(nu_max), size=n)))
+        assert nus[k] == pytest.approx(drawn, rel=1e-10)
+        assert nus[k] == pytest.approx(symplectic_eigenvalues(state), rel=1e-14)
+        assert entropies[k] == pytest.approx(entropy(state), rel=1e-14, abs=1e-14)
+        if n == 1:
+            # nu = sqrt(det gamma) carries a rounding error of about
+            # eps * cond(gamma) on any route, and cond(gamma) = e^{4r}
+            closed = g((math.sqrt(np.linalg.det(state.gamma)) - 1.0) / 2.0)
+            tol = 1e-12 * np.linalg.cond(state.gamma)
+            assert entropy(state) == pytest.approx(closed, rel=tol, abs=tol)
 
 
 def test_entropy_examples():
     assert entropy(GaussianState.vacuum()) == 0.0
+    assert isinstance(entropy(GaussianState.thermal(1.0)), float)
     assert entropy(GaussianState(1, 3.0 * np.eye(2))) == pytest.approx(
         2.0 * math.log(2.0), abs=1e-12)
     assert entropy(GaussianState(2, 3.0 * np.eye(4))) == pytest.approx(
@@ -179,6 +194,19 @@ def test_validation_rejects_asymmetric_and_unphysical():
         GaussianState(1, 0.5 * np.eye(2))
     with pytest.raises(ValidationError):
         GaussianState(1, np.eye(2), d=np.zeros(4))
+    with pytest.raises(ValidationError):
+        GaussianState(1, np.stack([np.eye(2)] * 3), d=np.zeros(2))
+    # |eigvals(Omega gamma)| cannot see the sign of det gamma; these are not
+    # positive definite, so no covariance matrices
+    for gamma in (-3.0 * np.eye(2), [[1.0, 2.0], [2.0, 1.0]], np.diag([5.0, -0.5]),
+                  np.diag([np.nan, 3.0]), np.diag([np.inf, 3.0])):
+        with pytest.raises(ValidationError):
+            GaussianState(1, gamma)
+        with pytest.raises(ValidationError):
+            entropy(GaussianState(1, gamma, validate=False))
+    blob = json.dumps({"n": 1, "gamma": [-3.0, 0.0, 0.0, -3.0], "d": [0.0, 0.0]})
+    with pytest.raises(ValidationError):
+        GaussianState.from_json(blob)
 
 
 def test_random_state_determinism_and_degenerate_box():
@@ -193,7 +221,7 @@ def test_random_state_determinism_and_degenerate_box():
 def test_random_states_always_physical():
     for seed in range(200):
         state = random_gaussian_state(1, seed, nu_max=20.0, r_max=1.5)
-        assert symplectic_eigenvalues(state).physical
+        assert symplectic_eigenvalues(state)[0] >= 1.0 - PHYSICALITY_TOL
 
 
 def test_json_roundtrip():
