@@ -11,11 +11,11 @@ additive-noise generator maps each diagonal band of rho to itself.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import zherk
 from scipy.special import gammaln, xlogy
 
 from .channels import BEAM_SPLITTER, MixingParams
@@ -148,17 +148,40 @@ def squeezed_thermal_state(r: float, mean_photons: float, dim: int) -> FockDensi
 # ---------------------------------------------------------------------------
 # channels
 
-def _sector_unitaries(p: MixingParams, dim: int):
-    """Blocks of the two-mode mixing unitary on the truncated product space.
+def _pure_components(rho: FockDensityMatrix) -> np.ndarray:
+    """Columns sqrt(w_j) phi_j of rho = sum_j w_j |phi_j><phi_j|.
 
-    The beam splitter theta (a^dag b - a b^dag) conserves n_A + n_B and the
-    amplifier r (a^dag b^dag - a b) conserves n_A - n_B, also after
-    truncation, so the unitary is block-diagonal by that charge with blocks
-    of at most dim.  Ordered by n_A, a block's generator is real, skew and
-    tridiagonal, with entry angle * sqrt(n_A' max(n_B, n_B')) from
-    (n_A, n_B) to its neighbour (n_A', n_B') = (n_A + 1, n_B -+ 1).
-    Yields (indices n_A * dim + n_B of the sector, block unitary).
+    Weights at or below dim * eps * max(w), the eigensolver's own backward
+    error, are dropped; their mass reappears as trace deficit in the leak
+    gate of two_mode_mix.
     """
+    w, v = np.linalg.eigh(rho.rho)
+    keep = w > rho.dim * np.finfo(float).eps * w[-1]
+    return v[:, keep] * np.sqrt(w[keep])
+
+
+def two_mode_mix(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
+                 p: MixingParams, leak_tol: float = LEAK_TOL) -> FockDensityMatrix:
+    """Tr_B[U (rho_A x rho_B) U^dag] for the beam splitter / amplifier.
+
+    With rho_A = sum_j r_j |phi_j><phi_j| and rho_B = sum_k s_k |psi_k><psi_k|
+    (one eigh each), the output is sum_jk r_j s_k M_jk M_jk^dag, where M_jk
+    is U (phi_j x psi_k) read as an n_A x n_B matrix; the dim^2 x dim^2
+    joint state is never formed.  The beam splitter theta (a^dag b - a b^dag)
+    conserves n_A + n_B and the amplifier r (a^dag b^dag - a b) conserves
+    n_A - n_B, also after truncation, so U is block-diagonal by that charge
+    with blocks of at most dim.  Ordered by n_A, a block's generator is real,
+    skew and tridiagonal, with entry angle * sqrt(n_A' max(n_B, n_B')) from
+    (n_A, n_B) to its neighbour (n_A', n_B') = (n_A + 1, n_B -+ 1).  The
+    product vectors are laid out in charge order, about 2 dim at a time, so
+    each sector is a contiguous row slice rotated by its block; they are
+    then contracted by zherk.  Cost rank_A rank_B dim^3, memory O(dim^3).
+    """
+    if rho_a.dim != rho_b.dim:
+        raise DomainError("two_mode_mix needs two states of equal cutoff")
+    dim = rho_a.dim
+    if p.kind == BEAM_SPLITTER and p.lambda_A == 0.0:
+        return rho_b
     n_a, n_b = np.divmod(np.arange(dim * dim), dim)
     if p.kind == BEAM_SPLITTER:
         angle = math.atan(math.sqrt((1.0 - p.lambda_A) / p.lambda_A))
@@ -166,49 +189,40 @@ def _sector_unitaries(p: MixingParams, dim: int):
     else:
         angle = math.atanh(math.sqrt((p.lambda_A - 1.0) / p.lambda_A))
         charge = n_a - n_b
-    for q in np.unique(charge):
-        idx = np.flatnonzero(charge == q)
-        sa, sb = n_a[idx], n_b[idx]
-        off = angle * np.sqrt(sa[1:] * np.maximum(sb[:-1], sb[1:]))
-        yield idx, sla.expm(np.diag(off, -1) - np.diag(off, 1))
-
-
-def partial_trace(rho: np.ndarray, dim: int, keep: int) -> np.ndarray:
-    r4 = rho.reshape(dim, dim, dim, dim)
-    return np.einsum("ijkj->ik", r4) if keep == 0 else np.einsum("jijk->ik", r4)
-
-
-def two_mode_mix(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
-                 p: MixingParams, leak_tol: float = LEAK_TOL) -> FockDensityMatrix:
-    """Tr_B[U (rho_A x rho_B) U^dag] for the beam splitter / amplifier."""
-    if rho_a.dim != rho_b.dim:
-        raise DomainError("two_mode_mix needs two states of equal cutoff")
-    dim = rho_a.dim
-    if p.kind == BEAM_SPLITTER and p.lambda_A == 0.0:
-        return rho_b
-    blocks = list(_sector_unitaries(p, dim))
-    joint = np.kron(rho_a.rho, rho_b.rho)
-    for idx, u in blocks:
-        joint[idx] = u @ joint[idx]
-    for idx, u in blocks:
-        joint[:, idx] = joint[:, idx] @ u.T
+    order = np.argsort(charge, kind="stable")
+    sa, sb = n_a[order], n_b[order]
+    comp_a, comp_b = _pure_components(rho_a)[sa], _pure_components(rho_b)[sb]
+    live = np.any(comp_a, axis=1) & np.any(comp_b, axis=1)
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(charge[order])) + 1, [dim * dim]))
+    blocks = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if live[lo:hi].any():
+            off = angle * np.sqrt(sa[lo + 1:hi] * np.maximum(sb[lo:hi - 1], sb[lo + 1:hi]))
+            blocks.append((lo, hi, sla.expm(np.diag(off, -1) - np.diag(off, 1))))
+    inverse = np.argsort(order)
+    step = max(1, 2 * dim // comp_b.shape[1])
+    acc = np.zeros((dim, dim), dtype=complex, order="F")
+    diag = np.zeros(dim * dim)
+    for j in range(0, comp_a.shape[1], step):
+        vecs = (comp_a[:, j:j + step, None] * comp_b[:, None, :]).reshape(dim * dim, -1)
+        flat = vecs.view(float)
+        for lo, hi, u in blocks:
+            flat[lo:hi] = u @ flat[lo:hi]
+        diag += np.einsum("ij,ij->i", flat, flat)
+        # rows n_A, columns (n_B, component); zherk on m.T adds conj(m m^dag)
+        m = vecs[inverse].reshape(dim, -1)
+        acc = zherk(1.0, m.T, beta=1.0, c=acc, trans=2, overwrite_c=1)
     # Cutoff adequacy: population in the top Fock layer of either output mode.
-    diag = np.diag(joint).real.reshape(dim, dim)
+    diag = diag[inverse].reshape(dim, dim)
     top = float(diag[-1, :].sum() + diag[:, -1].sum() - diag[-1, -1])
-    tr_def = abs(1.0 - float(np.trace(joint).real))
+    tr_def = abs(1.0 - float(diag.sum()))
     leak = top + tr_def
     if leak > leak_tol:
         raise CutoffError(f"mixing leak {leak:.3e} exceeds {leak_tol} at cutoff {dim}",
                           leak=leak)
-    out = partial_trace(joint, dim, keep=0)
+    out = np.triu(acc).conj() + np.triu(acc, 1).T      # acc: conj(rho), upper triangle
     out /= np.trace(out).real
     return FockDensityMatrix(1, dim, out, validate=True)
-
-
-def recommended_cutoff(mean_photons: float, gain: float = 1.0) -> int:
-    """Cutoff heuristic keeping thermal/Poissonian tails below ~1e-10."""
-    base = math.ceil(mean_photons + 10.0 * math.sqrt(mean_photons + 1.0) + 15.0)
-    return math.ceil(base * gain)
 
 
 # ---------------------------------------------------------------------------
@@ -309,27 +323,3 @@ def trace_leak(rho: FockDensityMatrix) -> float:
     tr_def = abs(1.0 - float(np.trace(rho.rho).real))
     top = float(rho.rho[-1, -1].real)
     return tr_def + max(top, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# binary dump (debugging aid)
-
-_MAGIC = b"FOCKRHO1"
-
-
-def save_density_matrix(path, rho: FockDensityMatrix) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", rho.modes, rho.dim))
-        fh.write(np.ascontiguousarray(rho.rho, dtype="<c16").tobytes())
-
-
-def load_density_matrix(path) -> FockDensityMatrix:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        modes, dim = struct.unpack("<II", fh.read(8))
-        size = dim ** modes
-        data = np.frombuffer(fh.read(), dtype="<c16").reshape(size, size)
-    return FockDensityMatrix(modes, dim, data.astype(complex), validate=True)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,8 +154,9 @@ def test_liouville_evolve_fock_input():
     assert abs(np.trace(evolved.rho).real - 1.0) < 1e-8
 
 
-def _random_full_rank(rng, dim):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def _random_state(rng, dim, rank=None):
+    rank = dim if rank is None else rank
+    m = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = m @ m.conj().T
     return fock.FockDensityMatrix(1, dim, rho / np.trace(rho).real)
 
@@ -184,9 +186,38 @@ def _dense_mix(rho_a, rho_b, p):
 @pytest.mark.parametrize("dim", [8, 12])
 def test_two_mode_mix_matches_dense_reference(params, dim):
     rng = np.random.default_rng(dim)
-    rho_a, rho_b = _random_full_rank(rng, dim), _random_full_rank(rng, dim)
-    out = fock.two_mode_mix(rho_a, rho_b, params, leak_tol=1.0)
-    assert np.max(np.abs(out.rho - _dense_mix(rho_a, rho_b, params))) < 1e-12
+    rho_a, rho_b = _random_state(rng, dim), _random_state(rng, dim)
+    cold_a, cold_b = fock.thermal_state(0.005, dim), fock.thermal_state(0.001, dim)
+    for rho in (cold_a, cold_b):
+        evs = np.linalg.eigvalsh(rho.rho)
+        assert evs[0] < dim * np.finfo(float).eps * evs[-1]
+    # The mix takes about 2 dim product vectors at a time: the full-rank
+    # pair spans dim / 2 such chunks and the rank-5 one three (the last
+    # partial at dim 8).
+    pairs = {"full rank + full rank": (rho_a, rho_b),
+             "fock |2> + coherent": (fock.fock_state(2, dim),
+                                     fock.coherent_state(0.4 - 0.2j, dim)),
+             "rank 2 + full rank": (_random_state(rng, dim, 2), rho_b),
+             "thermal weights below dim eps": (cold_a, cold_b),
+             "full rank + rank 5": (rho_a, _random_state(rng, dim, 5))}
+    for name, (a, b) in pairs.items():
+        out = fock.two_mode_mix(a, b, params, leak_tol=1.0)
+        err = np.max(np.abs(out.rho - _dense_mix(a, b, params)))
+        assert err < 1e-12, (name, err)
+
+
+def test_two_mode_mix_memory_is_cubic_in_cutoff():
+    # the dim^2 x dim^2 joint state alone would take 16 dim^4 bytes, 198 MiB here
+    thermal = fock.thermal_state(1.0, 60)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fock.two_mode_mix(thermal, thermal, MixingParams.beam_splitter(0.5))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def _dense_noise_superoperator(dim):
@@ -202,7 +233,7 @@ def _dense_noise_superoperator(dim):
 @pytest.mark.parametrize("t", [0.01, 0.7, 3.0])
 def test_liouville_evolve_matches_dense_reference(t):
     dim = 10
-    rho = _random_full_rank(np.random.default_rng(7), dim)
+    rho = _random_state(np.random.default_rng(7), dim)
     want = sla.expm(t * _dense_noise_superoperator(dim)) @ rho.rho.reshape(-1)
     got = fock.liouville_evolve(rho, t)
     assert np.max(np.abs(got.rho - want.reshape(dim, dim))) < 1e-12
@@ -239,26 +270,6 @@ def test_trace_leak():
     assert fock.trace_leak(fock.thermal_state(1.0, 60)) < 1e-10
     top = fock.fock_state(9, 10)
     assert fock.trace_leak(top) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_recommended_cutoff():
-    assert fock.recommended_cutoff(1.0) >= 30
-    assert fock.recommended_cutoff(1.0, gain=2.0) == 2 * fock.recommended_cutoff(1.0)
-
-
-def test_binary_roundtrip(tmp_path):
-    thermal = fock.thermal_state(0.7, 25)
-    path = tmp_path / "rho.bin"
-    fock.save_density_matrix(path, thermal)
-    back = fock.load_density_matrix(path)
-    assert back.modes == 1 and back.dim == 25
-    assert np.allclose(back.rho, thermal.rho)
-    raw = path.read_bytes()
-    assert raw[:8] == b"FOCKRHO1"
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"NOTAMAGI" + raw[8:])
-    with pytest.raises(ValueError):
-        fock.load_density_matrix(bad)
 
 
 def test_density_matrix_validation():
