@@ -10,12 +10,12 @@ channel use.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .files import atomic_write, csv_text
 from .symplectic import DomainError, g
 
 
@@ -65,10 +65,8 @@ def capacity_region(transmissivity: float, n_bar: float,
 
 
 def write_region_csv(path, points: list[CapacityPoint]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "R_B", "R_C_conj", "R_C_qepi", "feasible"])
-        for pt in points:
-            writer.writerow([f"{pt.beta:.10g}", f"{pt.R_B:.12g}",
-                             f"{pt.R_C_conjectured:.12g}", f"{pt.R_C_qepi:.12g}",
-                             int(pt.feasible)])
+    """Write the region as CSV, atomically: a failed write leaves no file."""
+    rows = [(f"{pt.beta:.10g}", f"{pt.R_B:.12g}", f"{pt.R_C_conjectured:.12g}",
+             f"{pt.R_C_qepi:.12g}", str(int(pt.feasible))) for pt in points]
+    atomic_write(path, csv_text([("beta", "R_B", "R_C_conj", "R_C_qepi", "feasible")]
+                                + rows))

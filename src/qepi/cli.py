@@ -15,28 +15,15 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import broadcast, fock
 from .channels import MixingParams
+from .files import atomic_write, csv_text
 from .inequalities import delta_surface, delta_surface_max, moe_bound, \
     moe_conjectured, random_qepi_suite
 from .symplectic import g
-
-
-def _atomic_write(path: str, data: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-qepi-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _write_report(path: str, payload: dict, fmt: str) -> None:
@@ -49,11 +36,11 @@ def _write_report(path: str, payload: dict, fmt: str) -> None:
         for key in sorted(payload):
             writer.writerow([key, json.dumps(payload[key], sort_keys=True)])
         body = buf.getvalue()
-    _atomic_write(path, body)
+    atomic_write(path, body)
     # timestamps live in a sidecar so report bodies stay byte-reproducible
     meta = {"written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "report": os.path.basename(path)}
-    _atomic_write(path + ".meta.json", json.dumps(meta, indent=2) + "\n")
+    atomic_write(path + ".meta.json", json.dumps(meta, indent=2) + "\n")
 
 
 def _mixing_from_args(args) -> MixingParams:
@@ -77,7 +64,8 @@ def cmd_verify(args) -> int:
         _write_report(args.out, payload, args.format)
     violations = len(summary.failures)
     print(f"trials={summary.trials} kind={summary.kind} lambda_A={summary.lambda_A} "
-          f"min_qepi_slack={summary.min_qepi_slack:.3e} violations={violations}")
+          f"min_qepi_slack={summary.min_qepi_slack:.3e} "
+          f"min_qepi_trial={summary.min_qepi_trial} violations={violations}")
     return 0 if violations == 0 else 1
 
 
@@ -86,24 +74,23 @@ def cmd_figures(args) -> int:
     os.makedirs(outdir, exist_ok=True)
 
     s_grid, lam_grid, surface = delta_surface()
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["S_bar", "lambda", "delta"])
-    for i, s in enumerate(s_grid):
-        for j, lam in enumerate(lam_grid):
-            writer.writerow([f"{s:.10g}", f"{lam:.10g}", f"{surface[i, j]:.12g}"])
-    _atomic_write(os.path.join(outdir, "delta_surface.csv"), buf.getvalue())
+    lam_text = [f"{lam:.10g}" for lam in lam_grid.tolist()]
+    # one block of text per S_bar, so the rows never all live as strings at once
+    blocks = [csv_text([("S_bar", "lambda", "delta")])]
+    for s, deltas in zip(s_grid.tolist(), surface):
+        s_text = f"{s:.10g}"
+        blocks.append(csv_text((s_text, lam, f"{d:.12g}")
+                               for lam, d in zip(lam_text, deltas.tolist())))
+    atomic_write(os.path.join(outdir, "delta_surface.csv"), "".join(blocks))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["S_bar", "lambda", "gaussian_ansatz", "qepi_bound"])
+    rows = [("S_bar", "lambda", "gaussian_ansatz", "qepi_bound")]
     lams = np.linspace(0.0, 1.0, 201)
+    lam_text = [f"{lam:.10g}" for lam in lams.tolist()]
     for s_bar in (0.5, 1.0, 1.5):
-        rows = zip(lams, moe_conjectured(s_bar, lams), moe_bound(s_bar, lams))
-        for lam, ansatz, bound in rows:
-            writer.writerow([f"{s_bar:.10g}", f"{lam:.10g}",
-                             f"{ansatz:.12g}", f"{bound:.12g}"])
-    _atomic_write(os.path.join(outdir, "moe_bounds.csv"), buf.getvalue())
+        ansatz = [f"{x:.12g}" for x in moe_conjectured(s_bar, lams).tolist()]
+        bound = [f"{x:.12g}" for x in moe_bound(s_bar, lams).tolist()]
+        rows += [(f"{s_bar:.10g}",) + row for row in zip(lam_text, ansatz, bound)]
+    atomic_write(os.path.join(outdir, "moe_bounds.csv"), csv_text(rows))
 
     points = broadcast.capacity_region(args.transmissivity or 0.8, args.n_bar,
                                        grid_size=101)

@@ -140,14 +140,14 @@ def debruijn_check(rho: fock.FockDensityMatrix, h_theta: float = 0.05,
                           relative_deviation=dev, passes=dev < rel_tol)
 
 
-def stam_check(j_a: float, j_b: float, j_c: float, p: MixingParams,
-               tol: float = 1e-9):
-    """1/J_C >= lam_A/J_A + lam_B/J_B."""
+def stam_check(j_a, j_b, j_c, p: MixingParams, tol: float = 1e-9):
+    """1/J_C >= lam_A/J_A + lam_B/J_B; arrays give an array-valued report."""
     from .inequalities import InequalityReport
-    if min(j_a, j_b, j_c) <= 0:
+    ja, jb, jc = (np.asarray(j, dtype=float) for j in (j_a, j_b, j_c))
+    if np.any(np.minimum(np.minimum(ja, jb), jc) <= 0):
         raise DivergenceError("Stam check needs strictly positive Fisher informations")
-    lhs = 1.0 / j_c
-    rhs = p.lambda_A / j_a + p.lambda_B / j_b
+    lhs = 1.0 / jc
+    rhs = p.lambda_A / ja + p.lambda_B / jb
     return InequalityReport.build("stam", lhs, rhs, tol=tol,
                                   inputs={"J_A": j_a, "J_B": j_b, "J_C": j_c,
                                           "kind": p.kind, "lambda_A": p.lambda_A})

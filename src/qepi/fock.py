@@ -273,7 +273,9 @@ def liouville_evolve(rho: FockDensityMatrix, t: float) -> FockDensityMatrix:
     + sqrt((m+1)(n+1)) rho_{m+1,n+1}) with c = diag(a a^dag + a^dag a), i.e.
     2m + 1 except dim - 1 at the top level of the truncated space.  So each
     band n - m = +-k evolves on its own under a symmetric tridiagonal
-    matrix, exponentiated here through its eigendecomposition.
+    matrix, exponentiated here through its eigendecomposition.  A band
+    that is exactly zero stays zero and is skipped, so a Fock-diagonal
+    input costs one eigensolve.
     """
     if t < 0:
         raise DomainError("evolution time must be >= 0")
@@ -283,9 +285,11 @@ def liouville_evolve(rho: FockDensityMatrix, t: float) -> FockDensityMatrix:
     m = np.arange(dim)
     c = 2.0 * m + 1.0
     c[-1] = dim - 1
-    out = np.empty_like(rho.rho)
+    out = np.zeros_like(rho.rho)
     for k in range(dim):
         j = m[:dim - k]                       # band entries (j, j + k)
+        if not (rho.rho[j, j + k].any() or rho.rho[j + k, j].any()):
+            continue
         w, v = sla.eigh_tridiagonal(-(c[j] + c[j + k]) / 4.0,
                                     0.5 * np.sqrt(j[1:] * (j[1:] + k)))
         prop = (v * np.exp(t * w)) @ v.T

@@ -23,8 +23,27 @@ ORACLE_SLACK_TOL = 1e-6
 EPNI_FLOOR = 1.0 / math.e - 0.5
 
 
+def _scalar(x):
+    """A float for a 0-d result, the array otherwise (as moe_bound returns)."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _entropies(*values) -> tuple:
+    arrays = tuple(np.asarray(v, dtype=float) for v in values)
+    if any(np.any(a < 0) for a in arrays):
+        raise DomainError("entropies must be nonnegative")
+    return arrays
+
+
 @dataclass(frozen=True)
 class InequalityReport:
+    """One check, or one check per element when its inputs are arrays.
+
+    For float inputs lhs, rhs and slack are floats and holds a bool; for
+    arrays they are arrays over the same shape, and ``row(i)`` is the
+    report of element i.
+    """
+
     name: str
     lhs: float
     rhs: float
@@ -33,70 +52,86 @@ class InequalityReport:
     inputs: dict = field(default_factory=dict)
 
     @classmethod
-    def build(cls, name: str, lhs: float, rhs: float, tol: float = GAUSSIAN_SLACK_TOL,
+    def build(cls, name: str, lhs, rhs, tol=GAUSSIAN_SLACK_TOL,
               inputs: dict | None = None) -> "InequalityReport":
-        slack = lhs - rhs
-        return cls(name=name, lhs=lhs, rhs=rhs, slack=slack,
-                   holds=slack >= -tol * max(1.0, abs(rhs)),
+        slack = np.subtract(lhs, rhs)
+        holds = slack >= -np.multiply(tol, np.maximum(1.0, np.abs(rhs)))
+        return cls(name=name, lhs=_scalar(lhs), rhs=_scalar(rhs), slack=_scalar(slack),
+                   holds=bool(holds) if np.ndim(holds) == 0 else holds,
                    inputs=dict(inputs or {}))
+
+    def row(self, i: int) -> "InequalityReport":
+        """Element i of an array-valued report, with float fields."""
+        def pick(x):
+            return np.asarray(x)[i].item() if np.ndim(x) else x
+        return InequalityReport(name=self.name, lhs=pick(self.lhs), rhs=pick(self.rhs),
+                                slack=pick(self.slack), holds=bool(self.holds[i]),
+                                inputs={k: pick(v) for k, v in self.inputs.items()})
 
     def to_dict(self) -> dict:
         return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
                 "slack": self.slack, "holds": self.holds, "inputs": self.inputs}
 
 
-def qepi_check(s_a: float, s_b: float, s_c: float, n: int, p: MixingParams,
+def qepi_check(s_a, s_b, s_c, n: int, p: MixingParams,
                tol: float = GAUSSIAN_SLACK_TOL) -> InequalityReport:
-    """Entropy power inequality: e^{S_C/n} >= lam_A e^{S_A/n} + lam_B e^{S_B/n}."""
-    if min(s_a, s_b, s_c) < 0:
-        raise DomainError("entropies must be nonnegative")
-    lhs = math.exp(s_c / n)
-    rhs = p.lambda_A * math.exp(s_a / n) + p.lambda_B * math.exp(s_b / n)
+    """Entropy power inequality: e^{S_C/n} >= lam_A e^{S_A/n} + lam_B e^{S_B/n}.
+
+    Entropies may be arrays; they broadcast, and the report is array-valued.
+    """
+    a, b, c = _entropies(s_a, s_b, s_c)
+    lhs = np.exp(c / n)
+    rhs = p.lambda_A * np.exp(a / n) + p.lambda_B * np.exp(b / n)
     return InequalityReport.build("qepi", lhs, rhs, tol=tol,
                                   inputs={"S_A": s_a, "S_B": s_b, "S_C": s_c,
                                           "n": n, "kind": p.kind,
                                           "lambda_A": p.lambda_A})
 
 
-def linear_check(s_a: float, s_b: float, s_c: float, n: int, p: MixingParams,
+def linear_check(s_a, s_b, s_c, n: int, p: MixingParams,
                  tol: float = GAUSSIAN_SLACK_TOL) -> InequalityReport:
     """Linear corollary of the entropy power inequality.
 
     Beam splitter: S_C >= lam S_A + (1-lam) S_B.
     Amplifier:     S_C >= (k S_A + (k-1) S_B)/(2k-1) + ln(2k-1).
+    Entropies may be arrays, as in qepi_check.
     """
-    if min(s_a, s_b, s_c) < 0:
-        raise DomainError("entropies must be nonnegative")
+    a, b, c = _entropies(s_a, s_b, s_c)
     if p.kind == BEAM_SPLITTER:
-        rhs = p.lambda_A * s_a + p.lambda_B * s_b
+        rhs = p.lambda_A * a + p.lambda_B * b
     else:
         total = p.lambda_A + p.lambda_B          # 2k - 1
-        rhs = (p.lambda_A * s_a + p.lambda_B * s_b) / total + math.log(total)
-    return InequalityReport.build("linear", s_c, rhs, tol=tol,
+        rhs = (p.lambda_A * a + p.lambda_B * b) / total + math.log(total)
+    return InequalityReport.build("linear", c, rhs, tol=tol,
                                   inputs={"S_A": s_a, "S_B": s_b, "S_C": s_c,
                                           "n": n, "kind": p.kind,
                                           "lambda_A": p.lambda_A})
 
 
-def epni_gap(n_a: float, n_b: float, n_c: float, transmissivity: float,
+def epni_gap(n_a, n_b, n_c, transmissivity: float,
              tol: float = GAUSSIAN_SLACK_TOL) -> InequalityReport:
     """Photon-number gap N_C - lam N_A - (1-lam) N_B and its proven floor.
 
     The raw gap probes the (open) photon-number inequality; the report
     asserts only the proven bound gap >= 1/e - 1/2.  The photon numbers
     carry relative rounding, so the tolerance is tol * max(1, N_C).
+    Photon numbers may be arrays, as in qepi_check.
     """
-    if min(n_a, n_b, n_c) < 0 or not (0.0 <= transmissivity <= 1.0):
+    a, b, c = (np.asarray(x, dtype=float) for x in (n_a, n_b, n_c))
+    if any(np.any(x < 0) for x in (a, b, c)) or not (0.0 <= transmissivity <= 1.0):
         raise DomainError("need nonnegative photon numbers and lam in [0,1]")
-    gap = n_c - transmissivity * n_a - (1.0 - transmissivity) * n_b
+    gap = _scalar(c - transmissivity * a - (1.0 - transmissivity) * b)
     return InequalityReport.build("epni_floor", gap, EPNI_FLOOR,
-                                  tol=tol * max(1.0, n_c),
+                                  tol=tol * np.maximum(1.0, c),
                                   inputs={"N_A": n_a, "N_B": n_b, "N_C": n_c,
                                           "lambda": transmissivity, "gap": gap})
 
 
-def amplifier_photon_gap(n_a: float, n_b: float, n_c: float, gain: float) -> float:
-    """Raw gap of the conjectured amplifier photon-number inequality (unasserted)."""
+def amplifier_photon_gap(n_a, n_b, n_c, gain: float):
+    """Raw gap of the conjectured amplifier photon-number inequality (unasserted).
+
+    Photon numbers may be arrays.
+    """
     return n_c - gain * n_a - (gain - 1.0) * (n_b + 1.0)
 
 
@@ -297,6 +332,11 @@ class SuiteSummary:
     failures: list
     gap_histogram: list
     gap_bin_edges: list
+    # trial index of each minimum (first in trial order), None if no trial has one
+    min_qepi_trial: int | None = None
+    min_linear_trial: int | None = None
+    min_stam_trial: int | None = None
+    min_photon_gap_trial: int | None = None
 
     def to_dict(self) -> dict:
         return {"trials": self.trials, "seed": self.seed, "kind": self.kind,
@@ -305,6 +345,10 @@ class SuiteSummary:
                 "min_linear_slack": self.min_linear_slack,
                 "min_stam_slack": self.min_stam_slack,
                 "min_photon_gap": self.min_photon_gap,
+                "min_qepi_trial": self.min_qepi_trial,
+                "min_linear_trial": self.min_linear_trial,
+                "min_stam_trial": self.min_stam_trial,
+                "min_photon_gap_trial": self.min_photon_gap_trial,
                 "photon_gap_floor_ok": self.photon_gap_floor_ok,
                 "stam_skipped": self.stam_skipped,
                 "failures": self.failures,
@@ -312,67 +356,95 @@ class SuiteSummary:
                 "gap_bin_edges": self.gap_bin_edges}
 
 
+# trials drawn and checked per pass of the suite; bounds its peak memory
+SUITE_CHUNK = 2 ** 12
+
+
+class _Minimum:
+    """Running minimum over trials and the first trial that attains it."""
+
+    def __init__(self):
+        self.value, self.trial = math.inf, None
+
+    def update(self, values: np.ndarray, trials: np.ndarray) -> None:
+        if values.size:
+            i = int(np.argmin(values))
+            if values[i] < self.value:
+                self.value, self.trial = float(values[i]), int(trials[i])
+
+
 def random_qepi_suite(trials: int, seed: int, p: MixingParams,
                       nu_max: float = 10.0, r_max: float = 1.0,
                       with_stam: bool = False) -> SuiteSummary:
     """Run all closed-form inequality checks on random Gaussian pairs.
 
-    Deterministic per seed: each trial draws from an independent stream
-    derived from (seed, trial index), so any trial can be replayed alone.
-    The draws are stacked and mixed, and their entropies, photon numbers
-    and Fisher informations computed, one call per stack.  Trials with a
-    near-pure A, B or C are out of Stam's domain and counted as skipped.
+    Deterministic per seed: state k of trial i is
+    random_gaussian_state(1, default_rng(SeedSequence((seed, i, k)))), so
+    any trial can be replayed alone.  Trials run in chunks of SUITE_CHUNK:
+    each chunk is drawn in one call, and its states mixed, their
+    entropies, photon numbers and Fisher informations computed and every
+    inequality checked, one array call each.  Trials with a near-pure A, B
+    or C are out of Stam's domain and counted as skipped.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
-    gammas = np.array([[random_gaussian_state(
-        1, np.random.default_rng(np.random.SeedSequence((seed, idx, k))),
-        nu_max=nu_max, r_max=r_max).gamma for k in (0, 1)] for idx in range(trials)])
-    a = GaussianState(1, gammas[:, 0], validate=False)
-    b = GaussianState(1, gammas[:, 1], validate=False)
-    c = mix(a, b, p)
-    entropies = np.stack([entropy(a), entropy(b), entropy(c)], axis=-1)
-    photons = g_inv(entropies)
-    stam_rows = np.zeros(trials, dtype=bool)
-    if with_stam:
-        stam_rows = full_rank(a) & full_rank(b) & full_rank(c)
-        fisher_info = np.full((trials, 3), np.nan)
-        fisher_info[stam_rows] = fisher_total_gaussian(GaussianState(1, np.stack(
-            [a.gamma[stam_rows], b.gamma[stam_rows], c.gamma[stam_rows]], axis=1),
-            validate=False)).total
-    min_qepi = min_lin = min_stam = min_gap = float("inf")
-    gaps = []
-    failures = []
-    for idx in range(trials):
-        s_a, s_b, s_c = entropies[idx].tolist()
-        rep_q = qepi_check(s_a, s_b, s_c, 1, p)
-        rep_l = linear_check(s_a, s_b, s_c, 1, p)
-        min_qepi = min(min_qepi, rep_q.slack)
-        min_lin = min(min_lin, rep_l.slack)
-        for rep in (rep_q, rep_l):
-            if not rep.holds:
-                failures.append(rep.to_dict() | {"trial": idx})
-        n_a, n_b, n_c = photons[idx].tolist()
+    if not 0 <= seed < 2 ** 64:
+        raise DomainError(f"seed must be in [0, 2**64), got {seed}")
+    mins = {name: _Minimum() for name in ("qepi", "linear", "stam", "gap")}
+    gaps, failures = np.empty(trials), []
+    stam_checked = 0
+    for start in range(0, trials, SUITE_CHUNK):
+        idx = np.arange(start, min(start + SUITE_CHUNK, trials))
+        keys = np.empty((idx.size, 2, 3), dtype=np.uint64)
+        keys[..., 0], keys[..., 1], keys[..., 2] = seed, idx[:, None], (0, 1)
+        pair = random_gaussian_state(1, keys, nu_max=nu_max, r_max=r_max).gamma
+        a = GaussianState(1, pair[:, 0], validate=False)
+        b = GaussianState(1, pair[:, 1], validate=False)
+        abc = GaussianState(1, np.stack([a.gamma, b.gamma, mix(a, b, p).gamma], axis=1),
+                            validate=False)
+        s_a, s_b, s_c = entropy(abc).T
+        n_a, n_b, n_c = g_inv(np.stack([s_a, s_b, s_c])).reshape(3, -1)
+        # (report, trial index of each of its elements), in per-trial order
+        checks = [(qepi_check(s_a, s_b, s_c, 1, p), idx),
+                  (linear_check(s_a, s_b, s_c, 1, p), idx)]
+        mins["qepi"].update(checks[0][0].slack, idx)
+        mins["linear"].update(checks[1][0].slack, idx)
         if p.kind == BEAM_SPLITTER:
             rep_g = epni_gap(n_a, n_b, n_c, p.lambda_A)
-            gaps.append(rep_g.inputs["gap"])
-            min_gap = min(min_gap, rep_g.inputs["gap"])
-            if not rep_g.holds:
-                failures.append(rep_g.to_dict() | {"trial": idx})
+            checks.append((rep_g, idx))
+            gaps[idx] = rep_g.lhs
+            mins["gap"].update(rep_g.lhs, idx)
         else:
-            gaps.append(amplifier_photon_gap(n_a, n_b, n_c, p.lambda_A))
-        if stam_rows[idx]:
-            rep_s = stam_check(*fisher_info[idx].tolist(), p)
-            min_stam = min(min_stam, rep_s.slack)
-            if not rep_s.holds:
-                failures.append(rep_s.to_dict() | {"trial": idx})
-    hist, edges = np.histogram(np.array(gaps), bins=40)
+            gaps[idx] = amplifier_photon_gap(n_a, n_b, n_c, p.lambda_A)
+        if with_stam:
+            rows = np.flatnonzero(np.all(full_rank(abc), axis=1))
+            stam_checked += rows.size
+            if rows.size:
+                j_a, j_b, j_c = fisher_total_gaussian(GaussianState(
+                    1, abc.gamma[rows], validate=False)).total.T
+                rep_s = stam_check(j_a, j_b, j_c, p)
+                checks.append((rep_s, idx[rows]))
+                mins["stam"].update(rep_s.slack, idx[rows])
+        bad = sorted((int(trial_of[i]), order, i) for order, (rep, trial_of) in
+                     enumerate(checks) for i in np.flatnonzero(~rep.holds))
+        failures += [checks[order][0].row(i).to_dict() | {"trial": trial}
+                     for trial, order, i in bad]
+    # np.histogram(gaps, 40), counted a chunk at a time
+    edges = np.histogram_bin_edges(gaps, bins=40)
+    hist = sum(np.histogram(gaps[i:i + SUITE_CHUNK], bins=edges)[0]
+               for i in range(0, trials, SUITE_CHUNK))
     return SuiteSummary(trials=trials, seed=seed, kind=p.kind, lambda_A=p.lambda_A,
-                        min_qepi_slack=min_qepi, min_linear_slack=min_lin,
-                        min_stam_slack=min_stam, min_photon_gap=min_gap,
+                        min_qepi_slack=mins["qepi"].value,
+                        min_linear_slack=mins["linear"].value,
+                        min_stam_slack=mins["stam"].value,
+                        min_photon_gap=mins["gap"].value,
+                        min_qepi_trial=mins["qepi"].trial,
+                        min_linear_trial=mins["linear"].trial,
+                        min_stam_trial=mins["stam"].trial,
+                        min_photon_gap_trial=mins["gap"].trial,
                         photon_gap_floor_ok=not any(f["name"] == "epni_floor"
                                                     for f in failures),
-                        stam_skipped=int(trials - stam_rows.sum()) if with_stam else 0,
+                        stam_skipped=trials - stam_checked if with_stam else 0,
                         failures=failures,
                         gap_histogram=[int(x) for x in hist],
                         gap_bin_edges=[float(x) for x in edges])

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import seedstream
+
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
 
@@ -213,53 +215,101 @@ def delta(x) -> float:
     return float(out) if xa.ndim == 0 else out
 
 
-def _embed_block(n: int, j: int, block: np.ndarray) -> np.ndarray:
-    m = np.eye(2 * n)
-    m[2 * j:2 * j + 2, 2 * j:2 * j + 2] = block
-    return m
+def _seed_keys(seed) -> np.ndarray:
+    """SeedSequence entropy as a uint64 array of shape (..., L)."""
+    keys = np.asarray(seed)
+    if keys.dtype.kind not in "iu" or keys.size == 0:
+        raise DomainError(f"seed must be integers in [0, 2**64), got {seed!r}")
+    if keys.dtype.kind == "i" and np.any(keys < 0):
+        raise DomainError(f"seed must be nonnegative, got {seed!r}")
+    return np.atleast_1d(keys).astype(np.uint64)
 
 
-def _rotation(phi: float) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, s], [-s, c]])
+def _identities(lead: tuple, n: int) -> np.ndarray:
+    out = np.empty(lead + (2 * n, 2 * n))
+    out[...] = np.eye(2 * n)
+    return out
 
 
-def _squeezer(r: float) -> np.ndarray:
-    return np.diag([math.exp(r), math.exp(-r)])
+def _embed(n: int, j: int, blocks: np.ndarray) -> np.ndarray:
+    """Stack of 2n x 2n identities with the 2x2 blocks at mode j."""
+    out = _identities(blocks.shape[:-2], n)
+    out[..., 2 * j:2 * j + 2, 2 * j:2 * j + 2] = blocks
+    return out
 
 
-def _mode_mixer(n: int, j: int, k: int, theta: float) -> np.ndarray:
-    m = np.eye(2 * n)
-    c, s = math.cos(theta), math.sin(theta)
-    for q in range(2):
-        m[2 * j + q, 2 * j + q] = c
-        m[2 * k + q, 2 * k + q] = c
-        m[2 * j + q, 2 * k + q] = s
-        m[2 * k + q, 2 * j + q] = -s
-    return m
+def _rotations(phi: np.ndarray) -> np.ndarray:
+    c, s = np.cos(phi), np.sin(phi)
+    out = np.empty(phi.shape + (2, 2))
+    out[..., 0, 0] = out[..., 1, 1] = c
+    out[..., 0, 1], out[..., 1, 0] = s, -s
+    return out
+
+
+def _gamma_from_uniforms(n: int, u: np.ndarray, nu_max: float,
+                         r_max: float) -> np.ndarray:
+    """Covariance matrices from uniforms u of shape (..., 5n - 1).
+
+    u holds, per state, the draws (nu_1..nu_n if nu_max > 1; then per mode
+    phi_1, r, phi_2; then the n - 1 mixer angles) that the sequential
+    Generator.uniform calls of this generator made, in that order; each
+    maps to low + (high - low) * u as numpy's uniform does.  gamma is
+    S diag(nu) S^T with S the ordered product of the per-mode rotations
+    and squeezers and the adjacent mode mixers.  Products with the
+    squeezers and diag(nu) only scale columns, which is exact; the others
+    are stacked matmuls, so every state gets the same floating-point
+    operations as a 2n x 2n product chain of its own.
+    """
+    lead = u.shape[:-1]
+    if nu_max > 1.0:
+        nus, u = np.exp(math.log(nu_max) * u[..., :n]), u[..., n:]
+    else:
+        nus = np.ones(lead + (n,))
+    two_pi = 2 * math.pi
+    r = -r_max + (r_max - -r_max) * u[..., 1:3 * n:3]
+    # math.exp as the per-state generator used: numpy's SIMD exp differs from
+    # libm in the last bit for some arguments, which would change the states
+    squeeze, unsqueeze = (np.fromiter(map(math.exp, x.ravel().tolist()), float,
+                                      count=x.size).reshape(x.shape) for x in (r, -r))
+    s_total = _identities(lead, n)
+    for j in range(n):
+        s_total = s_total @ _embed(n, j, _rotations(two_pi * u[..., 3 * j]))
+        s_total[..., 2 * j] *= squeeze[..., j, None]
+        s_total[..., 2 * j + 1] *= unsqueeze[..., j, None]
+        s_total = s_total @ _embed(n, j, _rotations(two_pi * u[..., 3 * j + 2]))
+    for j in range(n - 1):
+        theta = two_pi * u[..., 3 * n + j]
+        c, s = np.cos(theta), np.sin(theta)
+        mixer = _identities(lead, n)
+        for q in range(2):
+            a, b = 2 * j + q, 2 * j + 2 + q
+            mixer[..., a, a] = mixer[..., b, b] = c
+            mixer[..., a, b], mixer[..., b, a] = s, -s
+        s_total = s_total @ mixer
+    gamma = (s_total * np.repeat(nus, 2, axis=-1)[..., None, :]) @ s_total.swapaxes(-1, -2)
+    return 0.5 * (gamma + gamma.swapaxes(-1, -2))
 
 
 def random_gaussian_state(n: int, seed, nu_max: float = 10.0,
                           r_max: float = 1.0) -> GaussianState:
-    """Random physical Gaussian state, deterministic for a fixed seed.
+    """Random physical Gaussian states, deterministic for a fixed seed.
 
     gamma = S diag(nu_1, nu_1, ..., nu_n, nu_n) S^T with the nu_k drawn
     log-uniformly from [1, nu_max] and S a product of random per-mode
-    rotations, squeezers (|r| <= r_max) and adjacent mode mixers.
+    rotations, squeezers (|r| <= r_max) and adjacent mode mixers; each
+    state takes 5n - 1 uniforms, 4n - 1 when nu_max == 1.
+
+    seed is either a numpy Generator, whose next uniforms give one state,
+    or SeedSequence entropy: an int gives the state of default_rng(seed),
+    and an integer array of shape (..., L) a stack of shape (...) whose
+    state i is that of default_rng(seed[i]), all drawn in one array pass.
     """
     if nu_max < 1.0 or r_max < 0.0:
         raise DomainError("need nu_max >= 1 and r_max >= 0")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    nus = np.exp(rng.uniform(0.0, math.log(nu_max), size=n)) if nu_max > 1.0 \
-        else np.ones(n)
-    core = np.diag(np.repeat(nus, 2))
-    s_total = np.eye(2 * n)
-    for j in range(n):
-        s_total = s_total @ _embed_block(n, j, _rotation(rng.uniform(0, 2 * math.pi)))
-        s_total = s_total @ _embed_block(n, j, _squeezer(rng.uniform(-r_max, r_max)))
-        s_total = s_total @ _embed_block(n, j, _rotation(rng.uniform(0, 2 * math.pi)))
-    for j in range(n - 1):
-        s_total = s_total @ _mode_mixer(n, j, j + 1, rng.uniform(0, 2 * math.pi))
-    gamma = s_total @ core @ s_total.T
-    gamma = 0.5 * (gamma + gamma.T)
-    return GaussianState(n, gamma, validate=False)
+    k = 5 * n - 1 if nu_max > 1.0 else 4 * n - 1
+    if isinstance(seed, np.random.Generator):
+        u = seed.random(k)
+    else:
+        keys = _seed_keys(seed)
+        u = seedstream.uniforms(keys, k)
+    return GaussianState(n, _gamma_from_uniforms(n, u, nu_max, r_max), validate=False)

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from qepi.broadcast import capacity_point, capacity_region, write_region_csv
+from qepi import files
+from qepi.broadcast import (CapacityPoint, capacity_point, capacity_region,
+                            write_region_csv)
 from qepi.symplectic import DomainError, g
 
 
@@ -79,3 +81,21 @@ def test_region_csv(tmp_path):
     assert float(rows[-1][0]) == 1.0
     assert rows[1][4] in ("0", "1")
     assert float(rows[1][1]) == pytest.approx(pts[0].R_B, rel=1e-10)
+
+
+def test_region_csv_failed_write_leaves_nothing(tmp_path, monkeypatch):
+    # neither a partial region.csv nor a .tmp-qepi-* file survives a failure
+    pts = capacity_region(0.7, 5.0, 11)
+    path = tmp_path / "region.csv"
+    unformattable = CapacityPoint(beta=0.5, R_B=None, R_C_conjectured=0.0, R_C_qepi=0.0)
+    with pytest.raises(TypeError):
+        write_region_csv(path, pts[:5] + [unformattable] + pts[5:])
+    assert list(tmp_path.iterdir()) == []
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(files.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        write_region_csv(path, pts)
+    assert list(tmp_path.iterdir()) == []

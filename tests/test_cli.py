@@ -1,11 +1,15 @@
 import csv
+import io
 import json
 import os
 
+import numpy as np
 import pytest
 
 from qepi import fock
+from qepi.broadcast import capacity_region
 from qepi.cli import main
+from qepi.inequalities import delta_surface, moe_bound, moe_conjectured
 
 
 def test_verify_exit_zero_and_reproducible_report(tmp_path):
@@ -42,6 +46,11 @@ def test_verify_bad_lambda_usage_error(capsys):
 
 def test_verify_bad_kappa_usage_error():
     assert main(["verify", "--trials", "5", "--kappa", "0.5"]) == 2
+
+
+def test_verify_negative_seed_usage_error(capsys):
+    assert main(["verify", "--trials", "3", "--seed", "-1"]) == 2
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_verify_huge_nu_max():
@@ -94,3 +103,34 @@ def test_figures_outputs(tmp_path):
             rows = list(csv.reader(fh))
         assert rows[0] == header
         assert len(rows) > 100
+
+
+def _csv_writer_bytes(rows) -> bytes:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def test_figures_csv_bytes_match_csv_writer(tmp_path):
+    assert main(["figures", "--out", str(tmp_path)]) == 0
+    s_grid, lam_grid, surface = delta_surface()
+    rows = [["S_bar", "lambda", "delta"]]
+    for i, s in enumerate(s_grid):
+        for j, lam in enumerate(lam_grid):
+            rows.append([f"{s:.10g}", f"{lam:.10g}", f"{surface[i, j]:.12g}"])
+    assert (tmp_path / "delta_surface.csv").read_bytes() == _csv_writer_bytes(rows)
+
+    rows = [["S_bar", "lambda", "gaussian_ansatz", "qepi_bound"]]
+    lams = np.linspace(0.0, 1.0, 201)
+    for s_bar in (0.5, 1.0, 1.5):
+        for lam, ansatz, bound in zip(lams, moe_conjectured(s_bar, lams),
+                                      moe_bound(s_bar, lams)):
+            rows.append([f"{s_bar:.10g}", f"{lam:.10g}", f"{ansatz:.12g}",
+                         f"{bound:.12g}"])
+    assert (tmp_path / "moe_bounds.csv").read_bytes() == _csv_writer_bytes(rows)
+
+    rows = [["beta", "R_B", "R_C_conj", "R_C_qepi", "feasible"]]
+    for pt in capacity_region(0.8, 15.0, grid_size=101):
+        rows.append([f"{pt.beta:.10g}", f"{pt.R_B:.12g}", f"{pt.R_C_conjectured:.12g}",
+                     f"{pt.R_C_qepi:.12g}", int(pt.feasible)])
+    assert (tmp_path / "region.csv").read_bytes() == _csv_writer_bytes(rows)

@@ -232,12 +232,16 @@ def _dense_noise_superoperator(dim):
 
 @pytest.mark.parametrize("t", [0.01, 0.7, 3.0])
 def test_liouville_evolve_matches_dense_reference(t):
+    # the Fock-diagonal input takes the path that skips its zero bands
     dim = 10
     rho = _random_state(np.random.default_rng(7), dim)
-    want = sla.expm(t * _dense_noise_superoperator(dim)) @ rho.rho.reshape(-1)
-    got = fock.liouville_evolve(rho, t)
-    assert np.max(np.abs(got.rho - want.reshape(dim, dim))) < 1e-12
-    assert abs(np.trace(got.rho).real - 1.0) < 1e-12
+    diagonal = fock.FockDensityMatrix(1, dim, np.diag(np.diag(rho.rho)))
+    for state in (rho, diagonal):
+        want = sla.expm(t * _dense_noise_superoperator(dim)) @ state.rho.reshape(-1)
+        got = fock.liouville_evolve(state, t)
+        assert np.max(np.abs(got.rho - want.reshape(dim, dim))) < 1e-12
+        assert abs(np.trace(got.rho).real - 1.0) < 1e-12
+    assert np.count_nonzero(got.rho - np.diag(np.diag(got.rho))) == 0
 
 
 @pytest.mark.parametrize("t", [0.01, 0.7, 3.0])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qepi import inequalities
 from qepi.channels import MixingParams, mix
-from qepi.fisher import DivergenceError, fisher_total_gaussian
+from qepi.fisher import DivergenceError, fisher_total_gaussian, full_rank, stam_check
 from qepi.inequalities import (EPNI_FLOOR, amplifier_photon_gap,
                                asymptotic_check, delta_surface,
                                delta_surface_max, epni_gap, linear_check,
@@ -284,3 +284,118 @@ def test_suite_degenerate_vacuum_generator():
     assert summary.min_stam_slack == math.inf
     with pytest.raises(DomainError):
         random_qepi_suite(0, 0, MixingParams.beam_splitter(0.5))
+
+
+def _replay_pair(seed, idx, **kwargs):
+    """Trial idx of a seeded suite, drawn alone."""
+    return [random_gaussian_state(
+        1, np.random.default_rng(np.random.SeedSequence((seed, idx, k))), **kwargs)
+        for k in (0, 1)]
+
+
+def test_suite_states_equal_per_trial_replay(monkeypatch):
+    # one draw per chunk; the second chunk holds one trial
+    drawn = []
+
+    def recording(*args, **kwargs):
+        state = random_gaussian_state(*args, **kwargs)
+        drawn.append(state.gamma)
+        return state
+
+    monkeypatch.setattr(inequalities, "random_gaussian_state", recording)
+    trials, seed = inequalities.SUITE_CHUNK + 1, 2
+    random_qepi_suite(trials, seed, MixingParams.beam_splitter(0.5), nu_max=5.0)
+    assert [g.shape for g in drawn] == [(trials - 1, 2, 2, 2), (1, 2, 2, 2)]
+    gammas = np.concatenate(drawn)
+    for idx in range(trials):
+        a, b = _replay_pair(seed, idx, nu_max=5.0)
+        assert np.array_equal(gammas[idx, 0], a.gamma)
+        assert np.array_equal(gammas[idx, 1], b.gamma)
+
+
+@pytest.mark.parametrize("params", [MixingParams.beam_splitter(0.3),
+                                    MixingParams.amplifier(1.5)])
+def test_suite_chunking_leaves_summary_unchanged(params, monkeypatch):
+    whole = random_qepi_suite(40, 9, params, with_stam=True).to_dict()
+    monkeypatch.setattr(inequalities, "SUITE_CHUNK", 7)
+    assert random_qepi_suite(40, 9, params, with_stam=True).to_dict() == whole
+
+
+def _trial_reports(seed, idx, params, mixer=mix):
+    """Every check of one replayed trial, from the scalar predicates."""
+    a, b = _replay_pair(seed, idx)
+    c = mixer(a, b, params)
+    s_a, s_b, s_c = entropy(a), entropy(b), entropy(c)
+    reports = {"qepi": qepi_check(s_a, s_b, s_c, 1, params),
+               "linear": linear_check(s_a, s_b, s_c, 1, params)}
+    n_a, n_b, n_c = g_inv(np.array([s_a, s_b, s_c])).tolist()
+    if params.kind == "beam_splitter":
+        reports["epni_floor"] = epni_gap(n_a, n_b, n_c, params.lambda_A)
+    abc = GaussianState(1, np.stack([a.gamma, b.gamma, c.gamma]), validate=False)
+    if np.all(full_rank(abc)):
+        reports["stam"] = stam_check(*fisher_total_gaussian(abc).total.tolist(), params)
+    return reports
+
+
+@pytest.mark.parametrize("params", [MixingParams.beam_splitter(0.3),
+                                    MixingParams.amplifier(2.0)])
+def test_suite_witness_is_first_minimum_of_replayed_trials(params):
+    seed, trials = 6, 80
+    summary = random_qepi_suite(trials, seed, params, with_stam=True)
+    slacks = {"qepi": [], "linear": [], "stam": [], "epni_floor": []}
+    for idx in range(trials):
+        for name, rep in _trial_reports(seed, idx, params).items():
+            value = rep.inputs["gap"] if name == "epni_floor" else rep.slack
+            slacks[name].append((value, idx))
+    for name, value, trial in (
+            ("qepi", summary.min_qepi_slack, summary.min_qepi_trial),
+            ("linear", summary.min_linear_slack, summary.min_linear_trial),
+            ("stam", summary.min_stam_slack, summary.min_stam_trial),
+            ("epni_floor", summary.min_photon_gap, summary.min_photon_gap_trial)):
+        if not slacks[name]:
+            assert value == math.inf and trial is None
+            continue
+        assert (value, trial) == min(slacks[name])
+    assert summary.to_dict()["min_qepi_trial"] == summary.min_qepi_trial
+
+
+def test_suite_failures_are_scalar_reports_in_trial_order(monkeypatch):
+    # a lossy mix leaves the output too pure, so checks fail; each failure
+    # is the scalar report of its trial, ordered by trial, then check
+    def lossy(a, b, p):
+        c = mix(a, b, p)
+        return GaussianState(1, 0.7 * c.gamma + 0.3 * np.eye(2), validate=False)
+
+    monkeypatch.setattr(inequalities, "mix", lossy)
+    params, seed = MixingParams.beam_splitter(0.5), 3
+    summary = random_qepi_suite(40, seed, params, with_stam=True)
+    want = [rep.to_dict() | {"trial": idx} for idx in range(40)
+            for rep in _trial_reports(seed, idx, params, lossy).values()
+            if not rep.holds]
+    assert len(want) > 40
+    assert summary.failures == want
+
+
+def test_predicates_take_arrays():
+    rng = np.random.default_rng(0)
+    s = rng.uniform(0.0, 3.0, size=(3, 30))
+    n = g_inv(s)
+    for params in (MixingParams.beam_splitter(0.3), MixingParams.amplifier(2.0)):
+        # (check, its report over all 30 columns, its float arguments for one)
+        reports = [(check, check(*s, 1, params), lambda x: (*x.tolist(), 1, params))
+                   for check in (qepi_check, linear_check)]
+        reports.append((stam_check, stam_check(*(s + 0.1), params),
+                        lambda x: (*(x + 0.1).tolist(), params)))
+        if params.kind == "beam_splitter":
+            reports.append((epni_gap, epni_gap(*n, 0.3),
+                            lambda x: (*g_inv(x).tolist(), 0.3)))
+        for check, rep, args in reports:
+            assert rep.slack.shape == rep.holds.shape == (30,)
+            for i in range(30):
+                one = check(*args(s[:, i]))
+                assert type(one.slack) is float and type(one.holds) is bool
+                assert rep.row(i) == one
+        gaps = amplifier_photon_gap(*n, params.lambda_A)
+        assert gaps[4] == amplifier_photon_gap(*n[:, 4].tolist(), params.lambda_A)
+    with pytest.raises(DomainError):
+        qepi_check(s[0], -s[1], s[2], 1, MixingParams.beam_splitter(0.5))
