@@ -10,9 +10,9 @@ from .fock import (FockDensityMatrix, coherent_state, fock_state,
                    liouville_evolve, relative_entropy, thermal_state,
                    two_mode_mix, vacuum_state, vn_entropy)
 from .inequalities import (InequalityReport, asymptotic_check, delta_surface_max,
-                           epni_gap, linear_check, moe_bound, moe_conjectured,
-                           moe_delta, qepi_check, random_qepi_suite,
-                           ratio_trajectory)
+                           delta_surface_sup, epni_gap, linear_check, moe_bound,
+                           moe_conjectured, moe_delta, qepi_check,
+                           random_qepi_suite, ratio_trajectory)
 from .symplectic import (GaussianState, delta, entropy, entropy_power, g, g_inv,
                          photon_number, random_gaussian_state,
                          symplectic_eigenvalues)

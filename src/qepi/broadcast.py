@@ -10,7 +10,6 @@ channel use.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,26 +30,31 @@ class CapacityPoint:
         return self.R_C_conjectured >= 0.0
 
 
-def capacity_point(transmissivity: float, n_bar: float, beta: float) -> CapacityPoint:
-    """Rate pair bounds at a single power split beta.
+def capacity_point(transmissivity: float, n_bar: float, beta) -> CapacityPoint:
+    """Rate pair bounds at the power split beta.
 
     R_B               = g(lam beta n_bar)
     R_C (conjectured) = g((1-lam) n_bar) - g((1-lam) beta n_bar)
     R_C (proven)      = g((1-lam) n_bar)
                         - ln[((1-lam) e^{g(lam beta n_bar)} + 2 lam - 1) / lam]
     Negative R_C values are reported raw; they are meaningful near beta = 1.
+    beta may be an array, and the rates are then arrays over it; floats for
+    a float beta.
     """
     if not (0.5 <= transmissivity <= 1.0):
         raise DomainError(f"transmissivity must be in [1/2, 1], got {transmissivity}")
-    if n_bar < 0 or not (0.0 <= beta <= 1.0):
+    b = np.asarray(beta, dtype=float)
+    if n_bar < 0 or not np.all((b >= 0.0) & (b <= 1.0)):
         raise DomainError("need n_bar >= 0 and beta in [0, 1]")
     lam = transmissivity
-    r_b = g(lam * beta * n_bar)
+    r_b = g(lam * b * n_bar)
     base = g((1.0 - lam) * n_bar)
-    r_c_conj = base - g((1.0 - lam) * beta * n_bar)
+    r_c_conj = base - g((1.0 - lam) * b * n_bar)
     # (1-lam) e^{R_B} + 2 lam - 1 rewritten as lam + (1-lam)(e^{R_B} - 1) so
     # the subtracted term is exactly zero at beta = 0
-    r_c_qepi = base - math.log(1.0 + (1.0 - lam) * math.expm1(r_b) / lam)
+    r_c_qepi = base - np.log(1.0 + (1.0 - lam) * np.expm1(r_b) / lam)
+    if b.ndim == 0:
+        beta, r_c_qepi = float(b), float(r_c_qepi)
     return CapacityPoint(beta=beta, R_B=r_b, R_C_conjectured=r_c_conj,
                          R_C_qepi=r_c_qepi)
 
@@ -60,8 +64,10 @@ def capacity_region(transmissivity: float, n_bar: float,
     """Sweep beta over a uniform grid."""
     if grid_size < 2:
         raise DomainError("grid_size must be at least 2")
-    betas = np.linspace(0.0, 1.0, grid_size)
-    return [capacity_point(transmissivity, n_bar, float(b)) for b in betas]
+    region = capacity_point(transmissivity, n_bar, np.linspace(0.0, 1.0, grid_size))
+    return [CapacityPoint(*row) for row in zip(region.beta.tolist(), region.R_B.tolist(),
+                                               region.R_C_conjectured.tolist(),
+                                               region.R_C_qepi.tolist())]
 
 
 def write_region_csv(path, points: list[CapacityPoint]) -> None:

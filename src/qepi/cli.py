@@ -1,7 +1,8 @@
 """Command-line front end: verification suites, figure data, oracle cross-checks.
 
 Exit codes: 0 success, 1 inequality violation found, oracle disagreement
-or a numerical failure in the oracle, 2 usage error, 3 oracle
+or a numerical failure (in the oracle, or a ValidationError from a
+computation: no argument is a covariance matrix), 2 usage error, 3 oracle
 infeasibility (cutoff too small).
 """
 
@@ -23,7 +24,7 @@ from .channels import MixingParams
 from .files import atomic_write, csv_text
 from .inequalities import delta_surface, delta_surface_max, moe_bound, \
     moe_conjectured, random_qepi_suite
-from .symplectic import g
+from .symplectic import ValidationError, g
 
 
 def _write_report(path: str, payload: dict, fmt: str) -> None:
@@ -188,6 +189,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ValidationError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

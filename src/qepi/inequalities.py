@@ -180,28 +180,33 @@ def delta_surface(s_grid=None, lam_grid=None):
     return s_grid, lam_grid, moe_delta(s_grid[:, None], lam_grid[None, :])
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 60) -> float:
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+# points per zoom step: each step shrinks the interval by about ZOOM_POINTS / 2
+ZOOM_POINTS = 65
+
+
+def _zoom_max(f, lo: float, hi: float) -> float:
+    """Argmax of a unimodal array function f on [lo, hi] by zooming grids.
+
+    Each step evaluates f once on ZOOM_POINTS points of the interval and
+    shrinks the interval to the two neighbours of the best point, until it
+    is narrower than 1e-12 max(1, |hi|); returns its midpoint.
+    """
+    while hi - lo > 1e-12 * max(1.0, abs(hi)):
+        x = np.linspace(lo, hi, ZOOM_POINTS)
+        k = int(np.argmax(f(x)))
+        lo, hi = float(x[max(k - 1, 0)]), float(x[min(k + 1, ZOOM_POINTS - 1)])
+    return 0.5 * (lo + hi)
 
 
 def delta_surface_max(s_grid=None, lam_grid=None):
-    """Grid search plus coordinate-wise golden-section refinement.
+    """Grid maximum of the gap surface, refined by coordinate ascent.
 
-    Returns (max_delta, s_bar_at_max, lam_at_max).
+    Starts at the grid argmax and makes four rounds of maximising over lam
+    at fixed S_bar, then over S_bar at fixed lam, each inside the box of
+    the argmax's grid neighbours.  The result is that coordinate-ascent
+    point, neither the maximum over the box (the surface still rises
+    along the ridge lam ~ e^{-S_bar} to the box edge) nor the supremum
+    (see delta_surface_sup).  Returns (max_delta, s_bar_at_max, lam_at_max).
     """
     s_grid, lam_grid, surface = delta_surface(s_grid, lam_grid)
     i, j = np.unravel_index(int(np.argmax(surface)), surface.shape)
@@ -211,9 +216,22 @@ def delta_surface_max(s_grid=None, lam_grid=None):
     lam_lo = float(lam_grid[max(j - 1, 0)])
     lam_hi = float(lam_grid[min(j + 1, len(lam_grid) - 1)])
     for _ in range(4):
-        lam_best = _golden_max(lambda x: moe_delta(s_best, x), lam_lo, lam_hi)
-        s_best = _golden_max(lambda x: moe_delta(x, lam_best), s_lo, s_hi)
+        lam_best = _zoom_max(lambda x: moe_delta(s_best, x), lam_lo, lam_hi)
+        s_best = _zoom_max(lambda x: moe_delta(x, lam_best), s_lo, s_hi)
     return moe_delta(s_best, lam_best), s_best, lam_best
+
+
+def delta_surface_sup() -> float:
+    """Supremum of the gap surface, approached as S_bar -> oo.
+
+    Along lam = c e^{-S_bar}, lam g_inv(S_bar) -> c/e and
+    lam e^{S_bar} + 1 - lam -> 1 + c, so the gap tends to
+    g(c/e) - ln(1 + c); the supremum is its maximum over c > 0.
+    """
+    # the limit rises from 0 at c = 0 to one maximum near c = 0.64 and then
+    # falls towards 0, so [0, 4] brackets it
+    c_star = _zoom_max(lambda c: g(c / math.e) - np.log1p(c), 0.0, 4.0)
+    return g(c_star / math.e) - math.log1p(c_star)
 
 
 # ---------------------------------------------------------------------------
@@ -244,20 +262,19 @@ def ratio_trajectory(a: GaussianState, b: GaussianState, p: MixingParams,
     if t_max <= 0:
         raise DomainError("t_max must be positive")
     n = a.n
-    gamma_c0 = mix(a, b, p).gamma
+    # one stack [gamma_A, gamma_B, gamma_C(0)]: each stage is one entropy call
+    gamma0 = np.stack([a.gamma, b.gamma, mix(a, b, p).gamma])
     eye = np.eye(2 * n)
 
-    def ep(gamma0: np.ndarray, t_x: float) -> float:
-        state = GaussianState(n, gamma0 + t_x * eye, validate=False)
-        return math.exp(entropy(state) / n)
-
-    def rhs(tx: np.ndarray) -> np.ndarray:
-        return np.array([ep(a.gamma, tx[0]), ep(b.gamma, tx[1])])
+    def ep(t_abc: np.ndarray) -> np.ndarray:
+        """e^{S/n} of the first len(t_abc) states, each with noise t added."""
+        k = len(t_abc)
+        noisy = GaussianState(n, gamma0[:k] + t_abc[:, None, None] * eye, validate=False)
+        return np.exp(entropy(noisy) / n)
 
     def ratio_at(tx: np.ndarray) -> tuple[float, float, float, float, float]:
         t_c = p.lambda_A * tx[0] + p.lambda_B * tx[1]
-        ep_a, ep_b = ep(a.gamma, tx[0]), ep(b.gamma, tx[1])
-        ep_c = ep(gamma_c0, t_c)
+        ep_a, ep_b, ep_c = ep(np.array([tx[0], tx[1], t_c])).tolist()
         return ((p.lambda_A * ep_a + p.lambda_B * ep_b) / ep_c, t_c,
                 math.log(ep_a) * n, math.log(ep_b) * n, math.log(ep_c) * n)
 
@@ -272,10 +289,10 @@ def ratio_trajectory(a: GaussianState, b: GaussianState, p: MixingParams,
         if t >= t_max - 1e-12:
             break
         h = min(h, t_max - t)
-        k1 = rhs(tx)
-        k2 = rhs(tx + 0.5 * h * k1)
-        k3 = rhs(tx + 0.5 * h * k2)
-        k4 = rhs(tx + h * k3)
+        k1 = ep(tx)
+        k2 = ep(tx + 0.5 * h * k1)
+        k3 = ep(tx + 0.5 * h * k2)
+        k4 = ep(tx + h * k3)
         tx = tx + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
         # uniform small steps early, geometric growth once the flow is smooth
@@ -339,12 +356,15 @@ class SuiteSummary:
     min_photon_gap_trial: int | None = None
 
     def to_dict(self) -> dict:
+        """The report; a minimum over no trial (math.inf here) is None."""
+        def minimum(value, trial):
+            return None if trial is None else value
         return {"trials": self.trials, "seed": self.seed, "kind": self.kind,
                 "lambda_A": self.lambda_A,
-                "min_qepi_slack": self.min_qepi_slack,
-                "min_linear_slack": self.min_linear_slack,
-                "min_stam_slack": self.min_stam_slack,
-                "min_photon_gap": self.min_photon_gap,
+                "min_qepi_slack": minimum(self.min_qepi_slack, self.min_qepi_trial),
+                "min_linear_slack": minimum(self.min_linear_slack, self.min_linear_trial),
+                "min_stam_slack": minimum(self.min_stam_slack, self.min_stam_trial),
+                "min_photon_gap": minimum(self.min_photon_gap, self.min_photon_gap_trial),
                 "min_qepi_trial": self.min_qepi_trial,
                 "min_linear_trial": self.min_linear_trial,
                 "min_stam_trial": self.min_stam_trial,

@@ -99,3 +99,23 @@ def test_region_csv_failed_write_leaves_nothing(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         write_region_csv(path, pts)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.7, 1.0])
+@pytest.mark.parametrize("n_bar", [0.0, 4.0, 15.0])
+def test_array_beta_equals_scalar_calls(lam, n_bar):
+    betas = np.linspace(0.0, 1.0, 101)
+    region = capacity_point(lam, n_bar, betas)
+    for k, beta in enumerate(betas.tolist()):
+        pt = capacity_point(lam, n_bar, beta)
+        assert isinstance(pt.R_C_qepi, float)
+        assert (region.beta[k], region.R_B[k], region.R_C_conjectured[k],
+                region.R_C_qepi[k]) == (pt.beta, pt.R_B, pt.R_C_conjectured,
+                                        pt.R_C_qepi)
+    assert capacity_region(lam, n_bar, 101) == [capacity_point(lam, n_bar, b)
+                                                for b in betas.tolist()]
+
+
+def test_array_beta_domain_error():
+    with pytest.raises(DomainError):
+        capacity_point(0.7, 1.0, np.array([0.0, 0.5, 1.5]))

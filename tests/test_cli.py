@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from qepi import fock
+from qepi import fock, symplectic
 from qepi.broadcast import capacity_region
 from qepi.cli import main
 from qepi.inequalities import delta_surface, moe_bound, moe_conjectured
@@ -37,6 +37,35 @@ def test_verify_amplifier_and_csv_format(tmp_path):
     assert rows[0] == ["key", "value"]
     keys = {r[0] for r in rows[1:]}
     assert {"trials", "kind", "min_qepi_slack"} <= keys
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize("extra", [["--kappa", "2"], []])
+def test_verify_report_is_strict_json(extra, tmp_path):
+    # an amplifier has no photon-gap minimum and a run without --stam no
+    # Stam minimum: both are null, not Infinity
+    out = tmp_path / "report.json"
+    assert main(["verify", "--trials", "50", "--out", str(out)] + extra) == 0
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert payload["min_stam_slack"] is None and payload["min_stam_trial"] is None
+    if extra:
+        assert payload["min_photon_gap"] is None
+    else:
+        assert isinstance(payload["min_photon_gap"], float)
+        assert isinstance(payload["min_photon_gap_trial"], int)
+
+
+def test_verify_validation_error_is_numerical_failure(monkeypatch, capsys):
+    def failing(state):
+        raise symplectic.ValidationError("forced failure")
+    monkeypatch.setattr(symplectic, "symplectic_eigenvalues", failing)
+    assert main(["verify", "--trials", "5"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure:")
+    assert "forced failure" in err[0]
 
 
 def test_verify_bad_lambda_usage_error(capsys):

@@ -10,8 +10,8 @@ from qepi.channels import MixingParams, mix
 from qepi.fisher import DivergenceError, fisher_total_gaussian, full_rank, stam_check
 from qepi.inequalities import (EPNI_FLOOR, amplifier_photon_gap,
                                asymptotic_check, delta_surface,
-                               delta_surface_max, epni_gap, linear_check,
-                               moe_bound, moe_conjectured, moe_delta,
+                               delta_surface_max, delta_surface_sup, epni_gap,
+                               linear_check, moe_bound, moe_conjectured, moe_delta,
                                qepi_check, random_qepi_suite, ratio_trajectory)
 from qepi.symplectic import (DomainError, GaussianState, entropy, g, g_inv,
                              random_gaussian_state)
@@ -154,6 +154,38 @@ def test_delta_surface_max_refines_grid():
     assert best >= 0.106
     assert best <= 0.12
     assert moe_delta(s_at, lam_at) == pytest.approx(best, abs=1e-12)
+
+
+# delta_surface_max() as the golden-section refinement returned it; the
+# zooming refinement agrees to about 1e-10 in the maximum and 1e-7 in S_bar
+GOLDEN_SECTION_MAX = (0.10611891641436838, 5.046013378393937, 0.00419895428292098)
+
+
+def test_delta_surface_max_pinned_to_golden_section():
+    best, s_at, lam_at = delta_surface_max()
+    assert best == pytest.approx(GOLDEN_SECTION_MAX[0], abs=1e-9)
+    assert s_at == pytest.approx(GOLDEN_SECTION_MAX[1], abs=1e-6)
+    assert lam_at == pytest.approx(GOLDEN_SECTION_MAX[2], abs=1e-6)
+
+
+def _sup_reference():
+    """(sup, c*) of g(c/e) - ln(1 + c) at 40 digits, from g'(c/e)/e = 1/(1 + c)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        e = mpmath.e
+        c_star = mpmath.findroot(lambda c: mpmath.log(1 + e / c) / e - 1 / (1 + c),
+                                 mpmath.mpf("0.64"))
+        n = c_star / e
+        sup = (n + 1) * mpmath.log(n + 1) - n * mpmath.log(n) - mpmath.log(1 + c_star)
+        return float(sup), float(c_star)
+
+
+def test_delta_surface_sup_matches_mpmath():
+    sup, c_star = _sup_reference()
+    assert delta_surface_sup() == pytest.approx(sup, abs=1e-12)
+    # the surface approaches it along lam = c* e^{-S_bar}
+    assert moe_delta(30.0, c_star * math.exp(-30.0)) == pytest.approx(sup, abs=1e-12)
+    assert delta_surface_max()[0] < delta_surface_sup()
 
 
 def test_ratio_trajectory_thermal_vacuum():
