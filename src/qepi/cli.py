@@ -75,13 +75,15 @@ def cmd_figures(args) -> int:
     os.makedirs(outdir, exist_ok=True)
 
     s_grid, lam_grid, surface = delta_surface()
-    lam_text = [f"{lam:.10g}" for lam in lam_grid.tolist()]
-    # one block of text per S_bar, so the rows never all live as strings at once
+    # one %-template of all lambda rows, filled once per S_bar block, so the
+    # rows never all live as strings at once
+    template = "".join(f"%s,{lam:.10g},%.12g\r\n" for lam in lam_grid.tolist())
+    fields = [None] * (2 * lam_grid.size)
     blocks = [csv_text([("S_bar", "lambda", "delta")])]
     for s, deltas in zip(s_grid.tolist(), surface):
-        s_text = f"{s:.10g}"
-        blocks.append(csv_text((s_text, lam, f"{d:.12g}")
-                               for lam, d in zip(lam_text, deltas.tolist())))
+        fields[0::2] = [f"{s:.10g}"] * lam_grid.size
+        fields[1::2] = deltas.tolist()
+        blocks.append(template % tuple(fields))
     atomic_write(os.path.join(outdir, "delta_surface.csv"), "".join(blocks))
 
     rows = [("S_bar", "lambda", "gaussian_ansatz", "qepi_bound")]

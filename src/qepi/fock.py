@@ -10,11 +10,13 @@ additive-noise generator maps each diagonal band of rho to itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import zherk
 from scipy.special import gammaln, xlogy
 
@@ -148,79 +150,232 @@ def squeezed_thermal_state(r: float, mean_photons: float, dim: int) -> FockDensi
 # ---------------------------------------------------------------------------
 # channels
 
+class _Sectors:
+    """The charge sectors of one mixing channel at one cutoff.
+
+    The beam splitter theta (a^dag b - a b^dag) conserves n_A + n_B and the
+    amplifier r (a^dag b^dag - a b) conserves n_A - n_B, also after
+    truncation.  Sector k holds the pairs with n_A + n_B = k (beam
+    splitter) or n_A - n_B = k - (dim - 1) (amplifier), at most dim of
+    them, and U acts on it as a real orthogonal block.  Ordered by n_A, the
+    block's generator is skew and tridiagonal, with entry
+    angle * sqrt(n_A' max(n_B, n_B')) from (n_A, n_B) to its neighbour
+    (n_A', n_B') = (n_A + 1, n_B -+ 1).  Each block is built on first use
+    and kept read-only.
+    """
+
+    def __init__(self, kind: str, lambda_a: float, dim: int):
+        self.dim = dim
+        self.beam_splitter = kind == BEAM_SPLITTER
+        if self.beam_splitter:
+            self.angle = math.atan(math.sqrt((1.0 - lambda_a) / lambda_a))
+        else:
+            self.angle = math.atanh(math.sqrt((lambda_a - 1.0) / lambda_a))
+        self.blocks = [None] * (2 * dim - 1)
+
+    def charge(self, n_a, n_b):
+        return n_a + n_b if self.beam_splitter else n_a - n_b + self.dim - 1
+
+    def live(self, supp_a: np.ndarray, supp_b: np.ndarray) -> np.ndarray:
+        """The sectors that hold a pair (n_A, n_B) in both supports."""
+        kernel = supp_b if self.beam_splitter else supp_b[::-1]
+        return np.flatnonzero(np.convolve(supp_a.astype(float), kernel.astype(float)))
+
+    def block(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """n_A (ascending), n_B and the block of sector k, built on first use."""
+        if self.blocks[k] is None:
+            dim = self.dim
+            if self.beam_splitter:
+                n_a = np.arange(max(0, k - dim + 1), min(k, dim - 1) + 1)
+                n_b = k - n_a
+            else:
+                diff = k - dim + 1
+                n_a = np.arange(max(0, diff), min(dim, dim + diff))
+                n_b = n_a - diff
+            off = self.angle * np.sqrt(n_a[1:] * np.maximum(n_b[:-1], n_b[1:]))
+            u = sla.expm(np.diag(off, -1) - np.diag(off, 1))
+            for array in (n_a, n_b, u):
+                array.flags.writeable = False
+            self.blocks[k] = (n_a, n_b, u)
+        return self.blocks[k]
+
+
+@functools.lru_cache(maxsize=8)
+def _sectors(kind: str, lambda_a: float, dim: int) -> _Sectors:
+    """The sector store: the blocks of the last 8 channels mixed."""
+    return _Sectors(kind, lambda_a, dim)
+
+
+def _eigen_floor(w: np.ndarray, dim: int) -> float:
+    """Weights at or below this are below the eigensolver's backward error."""
+    return dim * np.finfo(float).eps * w.max()
+
+
 def _pure_components(rho: FockDensityMatrix) -> np.ndarray:
     """Columns sqrt(w_j) phi_j of rho = sum_j w_j |phi_j><phi_j|.
 
-    Weights at or below dim * eps * max(w), the eigensolver's own backward
-    error, are dropped; their mass reappears as trace deficit in the leak
-    gate of two_mode_mix.
+    Weights at or below _eigen_floor are dropped; their mass reappears as
+    trace deficit in the leak gate of two_mode_mix.
     """
     w, v = np.linalg.eigh(rho.rho)
-    keep = w > rho.dim * np.finfo(float).eps * w[-1]
+    keep = w > _eigen_floor(w, rho.dim)
     return v[:, keep] * np.sqrt(w[keep])
+
+
+def _is_diagonal(rho: FockDensityMatrix) -> bool:
+    """No nonzero entry off the diagonal."""
+    return np.count_nonzero(rho.rho) == np.count_nonzero(np.diagonal(rho.rho))
+
+
+def _populations(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Populations, support and whether rho is exactly Fock-diagonal.
+
+    The populations of a diagonal state are its eigenvalues, so they get the
+    floor of _pure_components; the support of any other state is the set of
+    its nonzero rows.
+    """
+    pop = np.diagonal(rho.rho).real
+    if _is_diagonal(rho):
+        pop = np.where(pop > _eigen_floor(pop, rho.dim), pop, 0.0)
+        return pop, pop > 0.0, True
+    return pop, np.any(rho.rho != 0.0, axis=1), False
+
+
+def _mix_components(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
+                    sectors: _Sectors) -> tuple[np.ndarray, np.ndarray]:
+    """Output and joint output populations from the pure components.
+
+    The product vectors phi_j x psi_k are laid out in charge order, about
+    2 dim at a time, so each sector is a contiguous row slice rotated by its
+    block; zherk then contracts them.  Cost rank_A rank_B dim^3.
+    """
+    dim = rho_a.dim
+    n_a, n_b = np.divmod(np.arange(dim * dim), dim)
+    charge = sectors.charge(n_a, n_b)
+    order = np.argsort(charge, kind="stable")
+    sa, sb = n_a[order], n_b[order]
+    comp_a, comp_b = _pure_components(rho_a)[sa], _pure_components(rho_b)[sb]
+    live = np.any(comp_a, axis=1) & np.any(comp_b, axis=1)
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(charge[order])) + 1, [dim * dim]))
+    blocks = [(lo, hi, sectors.block(charge[order[lo]])[2])
+              for lo, hi in zip(edges[:-1], edges[1:]) if live[lo:hi].any()]
+    inverse = np.argsort(order)
+    step = max(1, 2 * dim // comp_b.shape[1])
+    acc = np.zeros((dim, dim), dtype=complex, order="F")
+    joint = np.zeros(dim * dim)
+    for j in range(0, comp_a.shape[1], step):
+        vecs = (comp_a[:, j:j + step, None] * comp_b[:, None, :]).reshape(dim * dim, -1)
+        flat = vecs.view(float)
+        for lo, hi, u in blocks:
+            flat[lo:hi] = u @ flat[lo:hi]
+        joint += np.einsum("ij,ij->i", flat, flat)
+        # rows n_A, columns (n_B, component); zherk on m.T adds conj(m m^dag)
+        m = vecs[inverse].reshape(dim, -1)
+        acc = zherk(1.0, m.T, beta=1.0, c=acc, trans=2, overwrite_c=1)
+    out = np.triu(acc).conj() + np.triu(acc, 1).T      # acc: conj(rho), upper triangle
+    return out, joint[inverse].reshape(dim, dim)
+
+
+def _shift_sum(h: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """sum_s h[s] * sigma[x + s, x' + s] over the shifts s = 1 - dim .. dim - 1."""
+    dim = sigma.shape[0]
+    pad = np.zeros((3 * dim - 2, 3 * dim - 2), dtype=complex)
+    pad[dim - 1:2 * dim - 1, dim - 1:2 * dim - 1] = sigma
+    # window (k, k) of pad is sigma shifted by s = k + 1 - dim
+    shifted = sliding_window_view(pad, (dim, dim)).diagonal().transpose(2, 0, 1)
+    return (h * shifted).sum(axis=0)
+
+
+def _mix_diagonal(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
+                  sectors: _Sectors) -> tuple[np.ndarray, np.ndarray]:
+    """Output and joint output populations when an input is Fock-diagonal.
+
+    The joint output populations need only the inputs' diagonals, since U
+    conserves the charge; they are the output itself when both inputs are
+    diagonal.  With one diagonal input the output is a sum of shifted
+    copies of the other, see two_mode_mix.
+    """
+    dim = rho_a.dim
+    pop_a, supp_a, diag_a = _populations(rho_a)
+    pop_b, supp_b, diag_b = _populations(rho_b)
+    live = sectors.live(supp_a, supp_b)
+    joint = np.outer(pop_a, pop_b)     # input populations, then output ones
+    # w[b, x, a] = <x, y|U|a, b>, with a zero slab at b = dim and at a = dim
+    w = None if diag_a and diag_b else np.zeros((dim + 1, dim, dim + 1))
+    for k in live:
+        n_a, n_b, u = sectors.block(k)
+        joint[n_a, n_b] = (u * u) @ joint[n_a, n_b]
+        if w is not None:
+            w[n_b, n_a[0]:n_a[-1] + 1, n_a] = u.T
+    x = np.arange(dim)
+    shift = np.arange(1 - dim, dim)[:, None]
+    if diag_a and diag_b:
+        out = np.diag(joint.sum(axis=1)).astype(complex)
+    else:
+        if diag_b:      # rows (x, a = x + s) of w, columns b in the support of rho_B
+            supp, pop, sigma = np.flatnonzero(supp_b), pop_b, rho_a.rho
+            m = w[supp].transpose(1, 2, 0).reshape(-1, supp.size)
+            a = x + shift
+            rows = x * (dim + 1) + np.where((a >= 0) & (a < dim), a, dim)
+        else:           # rows (b, x) of w, columns a in the support of rho_A
+            supp, pop, sigma = np.flatnonzero(supp_a), pop_a, rho_b.rho
+            m = w[:, :, supp].reshape(-1, supp.size)
+            b = x + shift
+            if not sectors.beam_splitter:
+                b, sigma = dim - 1 - b, sigma[::-1, ::-1]
+            rows = np.where((b >= 0) & (b < dim), b, dim) * dim + x
+        g = m[rows] * np.sqrt(pop[supp])       # g[s, x, k], k over the support
+        out = _shift_sum(g @ g.transpose(0, 2, 1), sigma)
+    return out, joint
 
 
 def two_mode_mix(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
                  p: MixingParams, leak_tol: float = LEAK_TOL) -> FockDensityMatrix:
     """Tr_B[U (rho_A x rho_B) U^dag] for the beam splitter / amplifier.
 
-    With rho_A = sum_j r_j |phi_j><phi_j| and rho_B = sum_k s_k |psi_k><psi_k|
-    (one eigh each), the output is sum_jk r_j s_k M_jk M_jk^dag, where M_jk
-    is U (phi_j x psi_k) read as an n_A x n_B matrix; the dim^2 x dim^2
-    joint state is never formed.  The beam splitter theta (a^dag b - a b^dag)
-    conserves n_A + n_B and the amplifier r (a^dag b^dag - a b) conserves
-    n_A - n_B, also after truncation, so U is block-diagonal by that charge
-    with blocks of at most dim.  Ordered by n_A, a block's generator is real,
-    skew and tridiagonal, with entry angle * sqrt(n_A' max(n_B, n_B')) from
-    (n_A, n_B) to its neighbour (n_A', n_B') = (n_A + 1, n_B -+ 1).  The
-    product vectors are laid out in charge order, about 2 dim at a time, so
-    each sector is a contiguous row slice rotated by its block; they are
-    then contracted by zherk.  Cost rank_A rank_B dim^3, memory O(dim^3).
+    U is block-diagonal by charge (see _Sectors); the blocks of the sectors
+    the inputs populate come from a store kept per channel.  Write
+    W[y, x, a] = <x, y|U|a, b>, with b fixed by the charge.  The contraction
+    follows the inputs' structure:
+
+    - both Fock-diagonal (populations p, r): the output is diagonal,
+      rho_C[x, x] = sum_{y, a} W[y, x, a]^2 p_a r_b, which is sum_q |U_q|^2
+      (p x r)_q per sector, marginalised.  Cost O(dim^3).
+    - one diagonal: rho_C = sum_s H_s * sigma[x + s, x' + s] over at most
+      2 dim - 1 shifts, with sigma the other input and H_s real symmetric,
+      one batched matmul over the diagonal input's support.  rho_B = diag(r)
+      gives sigma = rho_A and H_s = sum_b r_b V V^T with V[x] =
+      W[y, x, x + s]; rho_A = diag(p) gives H_s[x, x'] =
+      sum_a p_a W[y, x, a] W[y, x', a] at b = x + s (beam splitter,
+      sigma = rho_B) or b = dim - 1 - s - x (amplifier, sigma = rho_B
+      flipped in both indices).  Cost O(dim^3 |support|).
+    - neither: with rho_A = sum_j r_j |phi_j><phi_j| and rho_B =
+      sum_k s_k |psi_k><psi_k| (one eigh each), the output is
+      sum_jk r_j s_k M_jk M_jk^dag, where M_jk is U (phi_j x psi_k) read as
+      an n_A x n_B matrix.  Cost rank_A rank_B dim^3.
+
+    The dim^2 x dim^2 joint state is never formed; memory is O(dim^3).  A
+    diagonal input's populations at or below dim * eps * max are dropped,
+    as are the eigenvalues of a general one; the cutoff gate counts the
+    joint output population of the top Fock layer of either mode plus the
+    trace deficit, so it also counts that mass.
     """
     if rho_a.dim != rho_b.dim:
         raise DomainError("two_mode_mix needs two states of equal cutoff")
     dim = rho_a.dim
     if p.kind == BEAM_SPLITTER and p.lambda_A == 0.0:
         return rho_b
-    n_a, n_b = np.divmod(np.arange(dim * dim), dim)
-    if p.kind == BEAM_SPLITTER:
-        angle = math.atan(math.sqrt((1.0 - p.lambda_A) / p.lambda_A))
-        charge = n_a + n_b
+    sectors = _sectors(p.kind, p.lambda_A, dim)
+    if _is_diagonal(rho_a) or _is_diagonal(rho_b):
+        out, joint = _mix_diagonal(rho_a, rho_b, sectors)
     else:
-        angle = math.atanh(math.sqrt((p.lambda_A - 1.0) / p.lambda_A))
-        charge = n_a - n_b
-    order = np.argsort(charge, kind="stable")
-    sa, sb = n_a[order], n_b[order]
-    comp_a, comp_b = _pure_components(rho_a)[sa], _pure_components(rho_b)[sb]
-    live = np.any(comp_a, axis=1) & np.any(comp_b, axis=1)
-    edges = np.concatenate(([0], np.flatnonzero(np.diff(charge[order])) + 1, [dim * dim]))
-    blocks = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if live[lo:hi].any():
-            off = angle * np.sqrt(sa[lo + 1:hi] * np.maximum(sb[lo:hi - 1], sb[lo + 1:hi]))
-            blocks.append((lo, hi, sla.expm(np.diag(off, -1) - np.diag(off, 1))))
-    inverse = np.argsort(order)
-    step = max(1, 2 * dim // comp_b.shape[1])
-    acc = np.zeros((dim, dim), dtype=complex, order="F")
-    diag = np.zeros(dim * dim)
-    for j in range(0, comp_a.shape[1], step):
-        vecs = (comp_a[:, j:j + step, None] * comp_b[:, None, :]).reshape(dim * dim, -1)
-        flat = vecs.view(float)
-        for lo, hi, u in blocks:
-            flat[lo:hi] = u @ flat[lo:hi]
-        diag += np.einsum("ij,ij->i", flat, flat)
-        # rows n_A, columns (n_B, component); zherk on m.T adds conj(m m^dag)
-        m = vecs[inverse].reshape(dim, -1)
-        acc = zherk(1.0, m.T, beta=1.0, c=acc, trans=2, overwrite_c=1)
-    # Cutoff adequacy: population in the top Fock layer of either output mode.
-    diag = diag[inverse].reshape(dim, dim)
-    top = float(diag[-1, :].sum() + diag[:, -1].sum() - diag[-1, -1])
-    tr_def = abs(1.0 - float(diag.sum()))
+        out, joint = _mix_components(rho_a, rho_b, sectors)
+    top = float(joint[-1, :].sum() + joint[:, -1].sum() - joint[-1, -1])
+    tr_def = abs(1.0 - float(joint.sum()))
     leak = top + tr_def
     if leak > leak_tol:
         raise CutoffError(f"mixing leak {leak:.3e} exceeds {leak_tol} at cutoff {dim}",
                           leak=leak)
-    out = np.triu(acc).conj() + np.triu(acc, 1).T      # acc: conj(rho), upper triangle
     out /= np.trace(out).real
     return FockDensityMatrix(1, dim, out, validate=True)
 
@@ -237,7 +392,8 @@ def _clean_spectrum(evs: np.ndarray, what: str) -> np.ndarray:
 def vn_entropy(rho: FockDensityMatrix) -> float:
     """-Tr[rho ln rho] in nats."""
     evs = _clean_spectrum(np.linalg.eigvalsh(rho.rho), "vn_entropy")
-    return float(-np.sum(xlogy(evs, evs)))
+    # 0.0 - 0.0 is 0.0 where -0.0 would be a pure state's negated sum
+    return 0.0 - float(np.sum(xlogy(evs, evs)))
 
 
 def relative_entropy(rho: FockDensityMatrix, sigma: FockDensityMatrix) -> float:

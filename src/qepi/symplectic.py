@@ -152,7 +152,8 @@ def g_inv(entropy_nats) -> float:
     concave and increasing, so an iterate below the root never overshoots
     it; a step that would land at N <= 0 divides the iterate by 10 instead.
     """
-    s = np.asarray(entropy_nats, dtype=float)
+    # -0.0 + 0.0 is 0.0, so a signed zero takes the path whose root is exactly 0
+    s = np.asarray(entropy_nats, dtype=float) + 0.0
     if np.any(~np.isfinite(s)) or np.any(s < 0) or np.any(s > G_MAX):
         raise DomainError(
             f"entropy must be finite and in [0, {G_MAX:.6f}], got {entropy_nats}")

@@ -17,7 +17,8 @@ from qepi.channels import MixingParams, mix
 from qepi.fisher import (DivergenceError, debruijn_check,
                          fisher_total_gaussian, stam_check)
 from qepi.inequalities import (EPNI_FLOOR, asymptotic_check, delta_surface_max,
-                               epni_gap, qepi_check, ratio_trajectory)
+                               epni_gap, moe_bound, moe_conjectured, qepi_check,
+                               ratio_trajectory)
 from qepi.symplectic import (GaussianState, delta, entropy, g, g_inv,
                              random_gaussian_state)
 
@@ -136,8 +137,25 @@ def test_criterion_5_non_gaussian_probes():
                 s_c = fock.vn_entropy(fock.two_mode_mix(rho_a, rho_b, p))
                 rep = qepi_check(s_a, s_b, s_c, 1, p, tol=1e-6)
                 assert rep.holds
+        # minimum output entropy of the attenuator (input mixed with vacuum)
+        # on passive non-Gaussian inputs: S_out >= g(lam g_inv(S_in)), a
+        # theorem for one mode, which is >= the paper's ln(lam e^S + 1 - lam)
+        def passive(*pops):
+            rho = np.diag(np.pad(pops, (0, dim - len(pops)))).astype(complex)
+            return fock.FockDensityMatrix(1, dim, rho)
+        inputs = [passive(*[1.0 / k] * k) for k in (2, 3, 4)]
+        inputs += [passive(0.4, 0.3, 0.2, 0.1), fock.fock_state(1, dim),
+                   passive(0.0, 0.5, 0.0, 0.5)]
+        vac = fock.vacuum_state(dim)
+        for rho in inputs:
+            s_in = fock.vn_entropy(rho)
+            for lam in BS_LAMBDAS:
+                p = MixingParams.beam_splitter(lam)
+                s_out = fock.vn_entropy(fock.two_mode_mix(rho, vac, p))
+                assert s_out >= moe_conjectured(s_in, lam) >= moe_bound(s_in, lam)
     _announce("criterion 5: non-Gaussian probe states satisfy the entropy power "
-              "inequality with slack >= -1e-6", body)
+              "inequality with slack >= -1e-6, and passive ones the attenuator's "
+              "minimum output entropy", body)
 
 
 def test_criterion_6_debruijn_identity():

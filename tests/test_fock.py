@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -21,6 +22,7 @@ def test_vacuum_and_fock_states():
     assert np.linalg.matrix_rank(vac.rho) == 1
     two = fock.fock_state(2, 10)
     assert fock.vn_entropy(two) == pytest.approx(0.0, abs=1e-12)
+    assert math.copysign(1.0, fock.vn_entropy(fock.fock_state(1, 10))) == 1.0
     n_op = np.diag(np.arange(10.0)).astype(complex)
     assert fock.expectation(two, n_op) == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(fock.CutoffError):
@@ -91,11 +93,24 @@ def test_oracle_gaussian_agreement_amplifier(kappa):
 
 
 def test_two_mode_mix_cutoff_gate():
-    vac = fock.vacuum_state(12)
-    with pytest.raises(fock.CutoffError) as err:
-        fock.two_mode_mix(vac, vac, MixingParams.amplifier(2.0),
-                          leak_tol=1e-10)
-    assert err.value.leak > 1e-10
+    # the leak is the joint output population of the top Fock layer of
+    # either mode plus the trace deficit
+    dim = 12
+    vac = fock.vacuum_state(dim)
+    pops = 0.5 ** np.arange(dim)
+    hot = fock.FockDensityMatrix(1, dim, np.diag(pops / pops.sum()).astype(complex))
+    cases = [(vac, vac, MixingParams.amplifier(2.0)),
+             (hot, vac, MixingParams.beam_splitter(0.5)),
+             (fock.fock_state(2, dim), hot, MixingParams.amplifier(1.1)),
+             (hot, fock.coherent_state(1.0, dim), MixingParams.beam_splitter(0.3))]
+    for rho_a, rho_b, p in cases:
+        with pytest.raises(fock.CutoffError) as err:
+            fock.two_mode_mix(rho_a, rho_b, p, leak_tol=1e-10)
+        joint = np.diagonal(_dense_joint(rho_a, rho_b, p)).real.reshape(dim, dim)
+        top = joint[-1, :].sum() + joint[:, -1].sum() - joint[-1, -1]
+        assert err.value.leak == pytest.approx(top + abs(1.0 - joint.sum()),
+                                               rel=0.0, abs=1e-12)
+        assert err.value.leak > 1e-10
 
 
 def test_vn_entropy_maximally_mixed():
@@ -161,9 +176,14 @@ def _random_state(rng, dim, rank=None):
     return fock.FockDensityMatrix(1, dim, rho / np.trace(rho).real)
 
 
-def _dense_mix(rho_a, rho_b, p):
+def _random_diagonal(rng, dim):
+    pops = rng.random(dim)
+    return fock.FockDensityMatrix(1, dim, np.diag(pops / pops.sum()).astype(complex))
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_unitary(p, dim):
     """Reference: expm of the dense generator on the dim^2 product space."""
-    dim = rho_a.dim
     a = fock.ladder(dim)
     op_a, op_b = np.kron(a, np.eye(dim)), np.kron(np.eye(dim), a)
     if p.kind == BEAM_SPLITTER:
@@ -172,9 +192,17 @@ def _dense_mix(rho_a, rho_b, p):
     else:
         r = math.atanh(math.sqrt((p.lambda_A - 1.0) / p.lambda_A))
         gen = r * (op_a.conj().T @ op_b.conj().T - op_a @ op_b)
-    u = sla.expm(gen)
-    joint = u @ np.kron(rho_a.rho, rho_b.rho) @ u.conj().T
-    out = np.einsum("ijkj->ik", joint.reshape(dim, dim, dim, dim))
+    return sla.expm(gen)
+
+
+def _dense_joint(rho_a, rho_b, p):
+    u = _dense_unitary(p, rho_a.dim)
+    return u @ np.kron(rho_a.rho, rho_b.rho) @ u.conj().T
+
+
+def _dense_mix(rho_a, rho_b, p):
+    dim = rho_a.dim
+    out = np.einsum("ijkj->ik", _dense_joint(rho_a, rho_b, p).reshape(dim, dim, dim, dim))
     return out / np.trace(out).real
 
 
@@ -200,10 +228,29 @@ def test_two_mode_mix_matches_dense_reference(params, dim):
              "rank 2 + full rank": (_random_state(rng, dim, 2), rho_b),
              "thermal weights below dim eps": (cold_a, cold_b),
              "full rank + rank 5": (rho_a, _random_state(rng, dim, 5))}
+    # an exactly Fock-diagonal input takes a route of its own
+    diag_a, diag_b = _random_diagonal(rng, dim), _random_diagonal(rng, dim)
+    pairs.update({"diagonal + full rank": (diag_a, rho_b),
+                  "full rank + diagonal": (rho_a, diag_b),
+                  "coherent + fock |1>": (fock.coherent_state(0.3j, dim),
+                                          fock.fock_state(1, dim)),
+                  "diagonal + diagonal": (diag_a, diag_b)})
+    cold = {}
     for name, (a, b) in pairs.items():
-        out = fock.two_mode_mix(a, b, params, leak_tol=1.0)
-        err = np.max(np.abs(out.rho - _dense_mix(a, b, params)))
+        fock._sectors.cache_clear()
+        cold[name] = fock.two_mode_mix(a, b, params, leak_tol=1.0)
+        err = np.max(np.abs(cold[name].rho - _dense_mix(a, b, params)))
         assert err < 1e-12, (name, err)
+    # a store that every pair has filled gives the same bits as an empty
+    # one, and the blocks it holds are read-only
+    for a, b in pairs.values():
+        fock.two_mode_mix(a, b, params, leak_tol=1.0)
+    for name, (a, b) in pairs.items():
+        warm = fock.two_mode_mix(a, b, params, leak_tol=1.0)
+        assert np.array_equal(warm.rho, cold[name].rho), name
+    store = fock._sectors(params.kind, params.lambda_A, dim)
+    blocks = [array for block in store.blocks if block is not None for array in block]
+    assert blocks and not any(array.flags.writeable for array in blocks)
 
 
 def test_two_mode_mix_memory_is_cubic_in_cutoff():

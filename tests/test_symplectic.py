@@ -37,8 +37,13 @@ def test_g_rejects_bad_input():
         g(float("nan"))
 
 
+@pytest.mark.filterwarnings("error")
 def test_g_inv_basics():
     assert g_inv(0.0) == 0.0
+    # a signed zero, e.g. the entropy of a pure state, is no NaN iteration
+    assert g_inv(-0.0) == 0.0
+    np.testing.assert_array_equal(g_inv(np.array([-0.0, 0.0, 1.0])),
+                                  [0.0, 0.0, g_inv(1.0)])
     assert g_inv(2.0 * math.log(2.0)) == pytest.approx(1.0, abs=1e-10)
     assert g_inv(1.0) == pytest.approx(G_INV_ONE, abs=1e-10)
     with pytest.raises(DomainError):
