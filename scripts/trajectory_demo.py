@@ -15,12 +15,14 @@ from qepi.symplectic import GaussianState
 
 
 def show(title, a, b, p, t_max):
-    pts = ratio_trajectory(a, b, p, t_max=t_max)
+    traj = ratio_trajectory(a, b, p, t_max=t_max)
     print(f"\n{title}")
     print(f"{'t':>10s} {'t_C':>12s} {'S_C':>12s} {'ratio':>18s}")
-    stride = max(1, len(pts) // 20)
-    for pt in pts[::stride] + [pts[-1]]:
-        print(f"{pt.t:10.3f} {pt.t_C:12.5f} {pt.S_C:12.6f} {pt.ratio:18.12f}")
+    stride = max(1, traj.t.size // 20)
+    rows = list(range(0, traj.t.size, stride)) + [traj.t.size - 1]
+    for i in rows:
+        print(f"{traj.t[i]:10.3f} {traj.t_C[i]:12.5g} {traj.S_C[i]:12.6f} "
+              f"{traj.ratio[i]:18.12f}")
 
 
 def main():

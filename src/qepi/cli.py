@@ -71,8 +71,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
 
     s_grid, lam_grid, surface = delta_surface()
     # one %-template of all lambda rows, filled once per S_bar block, so the
@@ -84,7 +83,7 @@ def cmd_figures(args) -> int:
         fields[0::2] = [f"{s:.10g}"] * lam_grid.size
         fields[1::2] = deltas.tolist()
         blocks.append(template % tuple(fields))
-    atomic_write(os.path.join(outdir, "delta_surface.csv"), "".join(blocks))
+    atomic_write(os.path.join(args.out, "delta_surface.csv"), "".join(blocks))
 
     rows = [("S_bar", "lambda", "gaussian_ansatz", "qepi_bound")]
     lams = np.linspace(0.0, 1.0, 201)
@@ -93,15 +92,15 @@ def cmd_figures(args) -> int:
         ansatz = [f"{x:.12g}" for x in moe_conjectured(s_bar, lams).tolist()]
         bound = [f"{x:.12g}" for x in moe_bound(s_bar, lams).tolist()]
         rows += [(f"{s_bar:.10g}",) + row for row in zip(lam_text, ansatz, bound)]
-    atomic_write(os.path.join(outdir, "moe_bounds.csv"), csv_text(rows))
+    atomic_write(os.path.join(args.out, "moe_bounds.csv"), csv_text(rows))
 
     points = broadcast.capacity_region(args.transmissivity or 0.8, args.n_bar,
                                        grid_size=101)
-    broadcast.write_region_csv(os.path.join(outdir, "region.csv"), points)
+    broadcast.write_region_csv(os.path.join(args.out, "region.csv"), points)
 
     mx, s_at, lam_at = delta_surface_max()
     print(f"delta surface max {mx:.6f} at S_bar={s_at:.4f} lambda={lam_at:.6f}")
-    print(f"wrote delta_surface.csv, moe_bounds.csv, region.csv to {outdir}")
+    print(f"wrote delta_surface.csv, moe_bounds.csv, region.csv to {args.out}")
     return 0
 
 
@@ -155,13 +154,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify bosonic entropy power inequalities and export figure data.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", type=str, default=None)
-    common.add_argument("--format", choices=("csv", "json"), default="json")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--out", type=str, default=None)
+    report.add_argument("--format", choices=("csv", "json"), default="json")
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[report],
                               help="randomized inequality suite on Gaussian pairs")
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=1000)
     p_verify.add_argument("--lambda", dest="transmissivity", type=float, default=None)
     p_verify.add_argument("--kappa", type=float, default=None)
@@ -171,13 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also run the Fisher information inequality")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_fig = sub.add_parser("figures", parents=[common],
+    p_fig = sub.add_parser("figures",
                            help="export gap-surface, output-entropy and rate-region CSVs")
+    p_fig.add_argument("--out", type=str, default=".", help="directory for the CSVs")
     p_fig.add_argument("--lambda", dest="transmissivity", type=float, default=0.8)
     p_fig.add_argument("--n-bar", type=float, default=15.0)
     p_fig.set_defaults(func=cmd_figures)
 
-    p_oracle = sub.add_parser("oracle", parents=[common],
+    p_oracle = sub.add_parser("oracle", parents=[report],
                               help="Gaussian closed form vs truncated-Fock cross-check")
     p_oracle.add_argument("--cutoff", type=int, default=60)
     p_oracle.add_argument("--tolerance", type=float, default=1e-5)

@@ -8,7 +8,6 @@ gamma = (2N+1) * I and entropy g(N).  All entropies are in nats.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -61,6 +60,7 @@ class GaussianState:
             raise ValidationError(
                 f"displacement must have shape {gamma.shape[:-1]}, got {d.shape}")
         if validate:
+            _require_finite(gamma)
             asym = np.max(np.abs(gamma - gamma.swapaxes(-1, -2)))
             if asym > SYMMETRY_TOL:
                 raise ValidationError(
@@ -73,7 +73,6 @@ class GaussianState:
         object.__setattr__(self, "d", d)
         if validate:
             nus = symplectic_eigenvalues(self)
-            # written so that a NaN spectrum (non-finite gamma) fails too
             if not np.all(nus[..., 0] >= 1.0 - PHYSICALITY_TOL):
                 raise ValidationError(
                     f"unphysical state: min symplectic eigenvalue {nus.min()}")
@@ -88,19 +87,11 @@ class GaussianState:
             raise DomainError("mean photon number must be nonnegative")
         return cls(n, (2.0 * mean_photons + 1.0) * np.eye(2 * n), validate=False)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n,
-            "gamma": [float(x) for x in self.gamma.ravel()],
-            "d": [float(x) for x in self.d],
-        })
 
-    @classmethod
-    def from_json(cls, text: str) -> "GaussianState":
-        obj = json.loads(text)
-        n = int(obj["n"])
-        gamma = np.array(obj["gamma"], dtype=float).reshape(2 * n, 2 * n)
-        return cls(n, gamma, np.array(obj["d"], dtype=float))
+def _require_finite(gamma: np.ndarray) -> None:
+    """Reject a non-finite covariance matrix before any arithmetic on it."""
+    if not np.all(np.isfinite(gamma)):
+        raise ValidationError("covariance matrix has non-finite entries")
 
 
 def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
@@ -113,6 +104,7 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
     by a validating GaussianState; states built with validate=False are
     trusted to be symmetric.
     """
+    _require_finite(state.gamma)
     try:
         chol = np.linalg.cholesky(state.gamma)
     except np.linalg.LinAlgError:

@@ -134,6 +134,16 @@ def test_figures_outputs(tmp_path):
         assert len(rows) > 100
 
 
+@pytest.mark.parametrize("argv", [["figures", "--seed", "1"],
+                                  ["figures", "--format", "json"],
+                                  ["oracle", "--seed", "1"]])
+def test_subcommands_refuse_options_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def _csv_writer_bytes(rows) -> bytes:
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -189,19 +191,19 @@ def test_delta_surface_sup_matches_mpmath():
 
 
 def test_ratio_trajectory_thermal_vacuum():
-    pts = ratio_trajectory(GaussianState.thermal(1.0), GaussianState.vacuum(),
-                           MixingParams.beam_splitter(0.5), t_max=200.0)
-    ratios = np.array([pt.ratio for pt in pts])
+    traj = ratio_trajectory(GaussianState.thermal(1.0), GaussianState.vacuum(),
+                            MixingParams.beam_splitter(0.5), t_max=200.0)
+    ratios = traj.ratio
     assert ratios[0] == pytest.approx(RATIO0_THERMAL1_VAC, abs=1e-12)
     assert np.all(np.diff(ratios) >= -1e-10)
     assert ratios[-1] >= 0.999
-    assert pts[0].t == 0.0 and pts[-1].t == pytest.approx(200.0, abs=1e-9)
+    assert traj.t[0] == 0.0 and traj.t[-1] == pytest.approx(200.0, abs=1e-9)
 
 
 def test_ratio_trajectory_amplifier_vacuum():
-    pts = ratio_trajectory(GaussianState.vacuum(), GaussianState.vacuum(),
-                           MixingParams.amplifier(2.0), t_max=200.0)
-    ratios = np.array([pt.ratio for pt in pts])
+    traj = ratio_trajectory(GaussianState.vacuum(), GaussianState.vacuum(),
+                            MixingParams.amplifier(2.0), t_max=200.0)
+    ratios = traj.ratio
     assert ratios[0] == pytest.approx(0.75, abs=1e-12)
     assert np.all(np.diff(ratios) >= -1e-10)
     assert ratios[-1] >= 0.999
@@ -209,20 +211,69 @@ def test_ratio_trajectory_amplifier_vacuum():
 
 def test_ratio_trajectory_identical_inputs_constant_one():
     thermal = GaussianState.thermal(1.5)
-    pts = ratio_trajectory(thermal, thermal, MixingParams.beam_splitter(0.5),
-                           t_max=20.0)
-    ratios = np.array([pt.ratio for pt in pts])
-    assert np.allclose(ratios, 1.0, atol=1e-10)
+    traj = ratio_trajectory(thermal, thermal, MixingParams.beam_splitter(0.5),
+                            t_max=20.0)
+    assert np.allclose(traj.ratio, 1.0, atol=1e-10)
 
 
 def test_ratio_trajectory_time_bookkeeping():
-    pts = ratio_trajectory(GaussianState.thermal(1.0), GaussianState.vacuum(),
-                           MixingParams.beam_splitter(0.3), t_max=5.0)
-    for pt in pts:
-        assert pt.t_C == pytest.approx(0.3 * pt.t_A + 0.7 * pt.t_B, abs=1e-12)
+    traj = ratio_trajectory(GaussianState.thermal(1.0), GaussianState.vacuum(),
+                            MixingParams.beam_splitter(0.3), t_max=5.0)
+    assert np.allclose(traj.t_C, 0.3 * traj.t_A + 0.7 * traj.t_B, rtol=0, atol=1e-12)
     with pytest.raises(DomainError):
         ratio_trajectory(GaussianState.vacuum(), GaussianState.vacuum(),
                          MixingParams.beam_splitter(0.5), t_max=0.0)
+
+
+@pytest.mark.parametrize("a_photons, b_photons, params", [
+    (1.0, 0.0, MixingParams.beam_splitter(0.5)),
+    (0.0, 0.0, MixingParams.amplifier(2.0))])
+def test_ratio_trajectory_times_solve_the_flow(a_photons, b_photons, params):
+    # for a thermal input S_X(s) = g(N + s/2), so dt_X/dt = e^{S_X(t_X)} gives
+    # t = int_0^{t_X} e^{-g(N + s/2)} ds, here with s = e^v - 1, each recorded
+    # point by its own quadrature (g_scalar is g's closed form in scalar math,
+    # which keeps the quadrature fast)
+    from scipy.integrate import quad
+
+    def g_scalar(x):
+        return math.log1p(x) + x * math.log1p(1.0 / x) if x > 0 else 0.0
+
+    traj = ratio_trajectory(GaussianState.thermal(a_photons),
+                            GaussianState.thermal(b_photons), params, t_max=200.0)
+    assert traj.t.size == 1191
+    for i in np.linspace(0, traj.t.size - 1, 40).astype(int):
+        for t_x, photons in ((traj.t_A[i], a_photons), (traj.t_B[i], b_photons)):
+            time, _ = quad(lambda v: math.exp(v - g_scalar(photons + math.expm1(v) / 2)),
+                           0.0, math.log1p(t_x), epsabs=1e-13, epsrel=1e-13, limit=200)
+            assert time == pytest.approx(traj.t[i], abs=1e-9 * max(1.0, traj.t[i]))
+
+
+@pytest.mark.parametrize("t_max, size", [(200.0, 1191), (10.0, 1001), (10.5, 1002),
+                                         (5.0, 501), (5.005, 502), (0.07, 8),
+                                         (0.001, 2)])
+def test_ratio_trajectory_record_grid(t_max, size):
+    t = inequalities._record_times(t_max)
+    assert t.size == size and t[0] == 0.0 and t[-1] == t_max
+    assert np.all(np.diff(t) > 0)
+    assert np.allclose(np.diff(t[t <= min(t_max, 10.0)])[:-1], 0.01, rtol=0, atol=1e-12)
+
+
+def test_ratio_trajectory_failed_solve_raises(monkeypatch):
+    import scipy.integrate
+
+    class Failed:
+        success, message = False, "step size too small"
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *args, **kw: Failed())
+    with pytest.raises(inequalities.IntegrationError, match="step size too small"):
+        ratio_trajectory(GaussianState.vacuum(), GaussianState.vacuum(),
+                         MixingParams.beam_splitter(0.5), t_max=1.0)
+
+
+def test_import_leaves_scipy_integrate_out():
+    code = "import sys, qepi, qepi.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_asymptotic_vacuum():

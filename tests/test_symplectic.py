@@ -1,4 +1,3 @@
-import json
 import math
 
 import mpmath
@@ -209,9 +208,6 @@ def test_validation_rejects_asymmetric_and_unphysical():
             GaussianState(1, gamma)
         with pytest.raises(ValidationError):
             entropy(GaussianState(1, gamma, validate=False))
-    blob = json.dumps({"n": 1, "gamma": [-3.0, 0.0, 0.0, -3.0], "d": [0.0, 0.0]})
-    with pytest.raises(ValidationError):
-        GaussianState.from_json(blob)
 
 
 def test_random_state_determinism_and_degenerate_box():
@@ -227,15 +223,3 @@ def test_random_states_always_physical():
     for seed in range(200):
         state = random_gaussian_state(1, seed, nu_max=20.0, r_max=1.5)
         assert symplectic_eigenvalues(state)[0] >= 1.0 - PHYSICALITY_TOL
-
-
-def test_json_roundtrip():
-    state = random_gaussian_state(2, 3, nu_max=4.0, r_max=0.7)
-    blob = state.to_json()
-    parsed = json.loads(blob)
-    assert parsed["n"] == 2
-    assert len(parsed["gamma"]) == 16
-    assert len(parsed["d"]) == 4
-    back = GaussianState.from_json(blob)
-    assert np.allclose(back.gamma, state.gamma)
-    assert np.allclose(back.d, state.d)
