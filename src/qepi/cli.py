@@ -1,17 +1,15 @@
-"""Command-line front end: verification suites, figure data, oracle cross-checks.
+"""Command-line front end: verification suites, figure data, oracle
+cross-checks and the proof trajectory.
 
-Exit codes: 0 success, 1 inequality violation found, oracle disagreement
-or a numerical failure (in the oracle, or a ValidationError from a
-computation: no argument is a covariance matrix), 2 usage error, 3 oracle
-infeasibility (cutoff too small).
+Exit codes: 0 success, 1 inequality violation, oracle disagreement, a
+numerical failure or an I/O error, 2 usage error, 3 oracle infeasibility
+(cutoff too small).  `main` alone maps errors to them; see its table.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
-import io
 import json
 import math
 import os
@@ -22,47 +20,29 @@ import numpy as np
 from . import broadcast, fock
 from .channels import MixingParams
 from .files import atomic_write, csv_text
-from .inequalities import delta_surface, delta_surface_max, moe_bound, \
-    moe_conjectured, random_qepi_suite
-from .symplectic import ValidationError, g
+from .inequalities import IntegrationError, delta_surface, delta_surface_max, \
+    moe_bound, moe_conjectured, random_qepi_suite, ratio_trajectory
+from .symplectic import DomainError, GaussianState, ValidationError, g
+
+ORACLE_TOLERANCE = 1e-5
 
 
-def _write_report(path: str, payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["key", "value"])
-        for key in sorted(payload):
-            writer.writerow([key, json.dumps(payload[key], sort_keys=True)])
-        body = buf.getvalue()
-    atomic_write(path, body)
+def _write_report(path: str, payload: dict) -> None:
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     # timestamps live in a sidecar so report bodies stay byte-reproducible
     meta = {"written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "report": os.path.basename(path)}
     atomic_write(path + ".meta.json", json.dumps(meta, indent=2) + "\n")
 
 
-def _mixing_from_args(args) -> MixingParams:
-    if args.kappa is not None:
-        return MixingParams.amplifier(args.kappa)
-    lam = 0.5 if getattr(args, "transmissivity", None) is None else args.transmissivity
-    return MixingParams.beam_splitter(lam)
-
-
 def cmd_verify(args) -> int:
-    try:
-        params = _mixing_from_args(args)
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    params = (MixingParams.beam_splitter(args.transmissivity) if args.kappa is None
+              else MixingParams.amplifier(args.kappa))
     summary = random_qepi_suite(args.trials, args.seed, params,
                                 nu_max=args.nu_max, r_max=args.r_max,
                                 with_stam=args.stam)
-    payload = summary.to_dict()
     if args.out:
-        _write_report(args.out, payload, args.format)
+        _write_report(args.out, summary.to_dict())
     violations = len(summary.failures)
     print(f"trials={summary.trials} kind={summary.kind} lambda_A={summary.lambda_A} "
           f"min_qepi_slack={summary.min_qepi_slack:.3e} "
@@ -94,8 +74,7 @@ def cmd_figures(args) -> int:
         rows += [(f"{s_bar:.10g}",) + row for row in zip(lam_text, ansatz, bound)]
     atomic_write(os.path.join(args.out, "moe_bounds.csv"), csv_text(rows))
 
-    points = broadcast.capacity_region(args.transmissivity or 0.8, args.n_bar,
-                                       grid_size=101)
+    points = broadcast.capacity_region(args.transmissivity, args.n_bar, grid_size=101)
     broadcast.write_region_csv(os.path.join(args.out, "region.csv"), points)
 
     mx, s_at, lam_at = delta_surface_max()
@@ -107,44 +86,49 @@ def cmd_figures(args) -> int:
 def cmd_oracle(args) -> int:
     dim = args.cutoff
     if dim < 1:
-        print(f"usage error: --cutoff must be at least 1, got {dim}", file=sys.stderr)
-        return 2
-    checks = []
-    try:
-        thermal = fock.thermal_state(1.0, dim)
-        vac = fock.vacuum_state(dim)
-        out = fock.two_mode_mix(thermal, vac, MixingParams.beam_splitter(0.5))
-        checks.append(("thermal1_vacuum_bs_half",
-                       fock.vn_entropy(out), g(0.5)))
-        amp = fock.two_mode_mix(vac, vac, MixingParams.amplifier(2.0))
-        checks.append(("vacuum_vacuum_amp2",
-                       fock.vn_entropy(amp), 2.0 * math.log(2.0)))
-        evolved = fock.liouville_evolve(vac, 2.0)
-        checks.append(("vacuum_noise_t2",
-                       fock.vn_entropy(evolved), 2.0 * math.log(2.0)))
-    except fock.CutoffError as exc:
-        print(f"oracle infeasible at cutoff {dim}: {exc} (leak={exc.leak:.3e})",
-              file=sys.stderr)
-        return 3
-    except (fock.NumericError, fock.AccuracyError) as exc:
-        print(f"oracle numerical failure at cutoff {dim}: {exc}", file=sys.stderr)
-        return 1
+        raise DomainError(f"--cutoff must be at least 1, got {dim}")
+    thermal = fock.thermal_state(1.0, dim)
+    vac = fock.vacuum_state(dim)
+    out = fock.two_mode_mix(thermal, vac, MixingParams.beam_splitter(0.5))
+    amp = fock.two_mode_mix(vac, vac, MixingParams.amplifier(2.0))
+    evolved = fock.liouville_evolve(vac, 2.0)
+    checks = [("thermal1_vacuum_bs_half", fock.vn_entropy(out), g(0.5)),
+              ("vacuum_vacuum_amp2", fock.vn_entropy(amp), 2.0 * math.log(2.0)),
+              ("vacuum_noise_t2", fock.vn_entropy(evolved), 2.0 * math.log(2.0))]
     worst = max(abs(got - want) for _, got, want in checks)
     payload = {"cutoff": dim,
                "checks": [{"name": name, "oracle": got, "closed_form": want,
                            "abs_error": abs(got - want)}
                           for name, got, want in checks],
                "max_abs_error": worst,
-               "tolerance": args.tolerance}
+               "tolerance": ORACLE_TOLERANCE}
     if args.out:
-        _write_report(args.out, payload, args.format)
+        _write_report(args.out, payload)
     for name, got, want in checks:
         print(f"{name}: oracle={got:.9f} closed_form={want:.9f} "
               f"err={abs(got-want):.2e}")
-    if worst > args.tolerance:
-        print(f"oracle disagreement {worst:.3e} exceeds {args.tolerance}",
+    if worst > ORACLE_TOLERANCE:
+        print(f"oracle disagreement {worst:.3e} exceeds {ORACLE_TOLERANCE}",
               file=sys.stderr)
         return 1
+    return 0
+
+
+def cmd_trajectory(args) -> int:
+    instances = [("thermal(N=1) + vacuum, balanced beam splitter",
+                  GaussianState.thermal(1.0), GaussianState.vacuum(),
+                  MixingParams.beam_splitter(0.5)),
+                 ("vacuum + vacuum, amplifier gain 2",
+                  GaussianState.vacuum(), GaussianState.vacuum(),
+                  MixingParams.amplifier(2.0))]
+    for title, a, b, p in instances:
+        traj = ratio_trajectory(a, b, p, t_max=args.t_max)
+        print(f"\n{title}")
+        print(f"{'t':>10s} {'t_C':>12s} {'S_C':>12s} {'ratio':>18s}")
+        stride = max(1, traj.t.size // 20)
+        for i in list(range(0, traj.t.size, stride)) + [traj.t.size - 1]:
+            print(f"{traj.t[i]:10.3f} {traj.t_C[i]:12.5g} {traj.S_C[i]:12.6f} "
+                  f"{traj.ratio[i]:18.12f}")
     return 0
 
 
@@ -154,16 +138,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify bosonic entropy power inequalities and export figure data.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    report = argparse.ArgumentParser(add_help=False)
-    report.add_argument("--out", type=str, default=None)
-    report.add_argument("--format", choices=("csv", "json"), default="json")
-
-    p_verify = sub.add_parser("verify", parents=[report],
+    p_verify = sub.add_parser("verify",
                               help="randomized inequality suite on Gaussian pairs")
+    p_verify.add_argument("--out", type=str, default=None, help="JSON report path")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=1000)
-    p_verify.add_argument("--lambda", dest="transmissivity", type=float, default=None)
-    p_verify.add_argument("--kappa", type=float, default=None)
+    channel = p_verify.add_mutually_exclusive_group()
+    channel.add_argument("--lambda", dest="transmissivity", type=float, default=0.5,
+                         help="beam-splitter transmissivity (default 0.5)")
+    channel.add_argument("--kappa", type=float, default=None, help="amplifier gain")
     p_verify.add_argument("--nu-max", type=float, default=10.0)
     p_verify.add_argument("--r-max", type=float, default=1.0)
     p_verify.add_argument("--stam", action="store_true",
@@ -177,11 +160,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--n-bar", type=float, default=15.0)
     p_fig.set_defaults(func=cmd_figures)
 
-    p_oracle = sub.add_parser("oracle", parents=[report],
+    p_oracle = sub.add_parser("oracle",
                               help="Gaussian closed form vs truncated-Fock cross-check")
+    p_oracle.add_argument("--out", type=str, default=None, help="JSON report path")
     p_oracle.add_argument("--cutoff", type=int, default=60)
-    p_oracle.add_argument("--tolerance", type=float, default=1e-5)
     p_oracle.set_defaults(func=cmd_oracle)
+
+    p_traj = sub.add_parser("trajectory",
+                            help="print the monotone proof trajectory of two instances")
+    p_traj.add_argument("--t-max", type=float, default=200.0)
+    p_traj.set_defaults(func=cmd_trajectory)
 
     return parser
 
@@ -189,9 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the one place an error becomes an exit code; the first match wins
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except fock.CutoffError as exc:
+        print(f"infeasible: {exc} (leak={exc.leak:.3e})", file=sys.stderr)
+        return 3
+    except (ValidationError, fock.NumericError, fock.AccuracyError,
+            IntegrationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -110,7 +110,7 @@ def fisher_total_fock(rho: fock.FockDensityMatrix, h: float = 0.05) -> FisherRec
     """Sum of the direction-wise Fisher informations over both quadratures."""
     per = [fisher_direction_fock(rho, direction, h=h) for direction in ("q", "p")]
     return FisherRecord(total=float(sum(per)), method="fock_finite_difference",
-                        state_ref=f"fock(modes={rho.modes}, dim={rho.dim})",
+                        state_ref=f"fock(dim={rho.dim})",
                         per_direction=tuple(per))
 
 

@@ -48,16 +48,13 @@ class NumericError(RuntimeError):
 
 @dataclass(frozen=True)
 class FockDensityMatrix:
-    modes: int          # always 1
-    dim: int            # Fock dimension
+    dim: int            # Fock dimension, read from the shape of rho
     rho: np.ndarray     # dim x dim complex Hermitian
 
-    def __init__(self, modes: int, dim: int, rho, validate: bool = True):
+    def __init__(self, rho, validate: bool = True):
         rho = np.array(rho, dtype=complex)
-        if modes != 1:
-            raise DomainError(f"oracle supports 1 mode, got {modes}")
-        if rho.shape != (dim, dim):
-            raise DomainError(f"expected {dim}x{dim} matrix, got {rho.shape}")
+        if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.size == 0:
+            raise DomainError(f"expected a non-empty square matrix, got shape {rho.shape}")
         if validate:
             herm = np.max(np.abs(rho - rho.conj().T))
             if herm > HERMITICITY_TOL:
@@ -70,8 +67,7 @@ class FockDensityMatrix:
             if evs[0] < EIGENVALUE_FLOOR:
                 raise NumericError(f"negative eigenvalue {evs[0]:.3e}")
         rho.flags.writeable = False
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "dim", rho.shape[0])
         object.__setattr__(self, "rho", rho)
 
 
@@ -92,9 +88,7 @@ def quadratures(dim: int) -> tuple[np.ndarray, np.ndarray]:
 # state constructors
 
 def vacuum_state(dim: int) -> FockDensityMatrix:
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
-    return FockDensityMatrix(1, dim, rho, validate=False)
+    return fock_state(0, dim)
 
 
 def fock_state(k: int, dim: int) -> FockDensityMatrix:
@@ -102,7 +96,7 @@ def fock_state(k: int, dim: int) -> FockDensityMatrix:
         raise CutoffError(f"Fock level {k} does not fit below cutoff {dim}")
     rho = np.zeros((dim, dim), dtype=complex)
     rho[k, k] = 1.0
-    return FockDensityMatrix(1, dim, rho, validate=False)
+    return FockDensityMatrix(rho, validate=False)
 
 
 def thermal_state(mean_photons: float, dim: int) -> FockDensityMatrix:
@@ -117,7 +111,7 @@ def thermal_state(mean_photons: float, dim: int) -> FockDensityMatrix:
     if tail > LEAK_TOL:
         raise CutoffError(f"thermal({mean_photons}) tail {tail:.3e} exceeds "
                           f"{LEAK_TOL} at cutoff {dim}", leak=tail)
-    return FockDensityMatrix(1, dim, np.diag(probs.astype(complex)), validate=False)
+    return FockDensityMatrix(np.diag(probs.astype(complex)), validate=False)
 
 
 def coherent_state(alpha: complex, dim: int) -> FockDensityMatrix:
@@ -130,7 +124,7 @@ def coherent_state(alpha: complex, dim: int) -> FockDensityMatrix:
     if 1.0 - norm > LEAK_TOL:
         raise CutoffError(f"coherent({alpha}) tail {1-norm:.3e} exceeds "
                           f"{LEAK_TOL} at cutoff {dim}", leak=1.0 - norm)
-    return FockDensityMatrix(1, dim, np.outer(amps, amps.conj()), validate=False)
+    return FockDensityMatrix(np.outer(amps, amps.conj()), validate=False)
 
 
 def squeezed_thermal_state(r: float, mean_photons: float, dim: int) -> FockDensityMatrix:
@@ -140,7 +134,7 @@ def squeezed_thermal_state(r: float, mean_photons: float, dim: int) -> FockDensi
     squeezer = sla.expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
     rho = squeezer @ base.rho @ squeezer.conj().T
     rho /= np.trace(rho).real
-    out = FockDensityMatrix(1, dim, rho, validate=True)
+    out = FockDensityMatrix(rho, validate=True)
     leak = trace_leak(out)
     if leak > LEAK_TOL:
         raise CutoffError(f"squeezed thermal leak {leak:.3e} at cutoff {dim}", leak=leak)
@@ -377,7 +371,7 @@ def two_mode_mix(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
         raise CutoffError(f"mixing leak {leak:.3e} exceeds {leak_tol} at cutoff {dim}",
                           leak=leak)
     out /= np.trace(out).real
-    return FockDensityMatrix(1, dim, out, validate=True)
+    return FockDensityMatrix(out, validate=True)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +445,7 @@ def liouville_evolve(rho: FockDensityMatrix, t: float) -> FockDensityMatrix:
         prop = (v * np.exp(t * w)) @ v.T
         out[j, j + k] = prop @ rho.rho[j, j + k]
         out[j + k, j] = prop @ rho.rho[j + k, j]
-    return FockDensityMatrix(1, dim, out, validate=True)
+    return FockDensityMatrix(out, validate=True)
 
 
 def displace_fock(rho: FockDensityMatrix, direction: str,
@@ -467,7 +461,7 @@ def displace_fock(rho: FockDensityMatrix, direction: str,
     gen = -1j * theta * p1 if direction == "q" else 1j * theta * q1
     u = sla.expm(gen)
     out = u @ rho.rho @ u.conj().T
-    fdm = FockDensityMatrix(1, rho.dim, out, validate=True)
+    fdm = FockDensityMatrix(out, validate=True)
     leak = trace_leak(fdm)
     if leak > LEAK_TOL:
         raise CutoffError(f"displacement leak {leak:.3e} at cutoff {rho.dim}", leak=leak)

@@ -155,7 +155,7 @@ def test_criterion_5_non_gaussian_probes():
         # theorem for one mode, which is >= the paper's ln(lam e^S + 1 - lam)
         def passive(*pops):
             rho = np.diag(np.pad(pops, (0, dim - len(pops)))).astype(complex)
-            return fock.FockDensityMatrix(1, dim, rho)
+            return fock.FockDensityMatrix(rho)
         inputs = [passive(*[1.0 / k] * k) for k in (2, 3, 4)]
         inputs += [passive(0.4, 0.3, 0.2, 0.1), fock.fock_state(1, dim),
                    passive(0.0, 0.5, 0.0, 0.5)]

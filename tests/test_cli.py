@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 
 import numpy as np
@@ -28,15 +29,12 @@ def test_verify_exit_zero_and_reproducible_report(tmp_path):
     assert payload["failures"] == []
 
 
-def test_verify_amplifier_and_csv_format(tmp_path):
-    out = tmp_path / "report.csv"
-    assert main(["verify", "--trials", "20", "--kappa", "2.0",
-                 "--out", str(out), "--format", "csv"]) == 0
-    with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["key", "value"]
-    keys = {r[0] for r in rows[1:]}
-    assert {"trials", "kind", "min_qepi_slack"} <= keys
+def test_verify_amplifier(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--trials", "20", "--kappa", "2.0", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["kind"] == "amplifier" and payload["trials"] == 20
+    assert {"trials", "kind", "min_qepi_slack"} <= payload.keys()
 
 
 def _reject_constant(token):
@@ -75,6 +73,13 @@ def test_verify_bad_lambda_usage_error(capsys):
 
 def test_verify_bad_kappa_usage_error():
     assert main(["verify", "--trials", "5", "--kappa", "0.5"]) == 2
+
+
+def test_verify_refuses_lambda_with_kappa(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--trials", "5", "--lambda", "0.3", "--kappa", "2"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
 
 
 def test_verify_negative_seed_usage_error(capsys):
@@ -136,12 +141,39 @@ def test_figures_outputs(tmp_path):
 
 @pytest.mark.parametrize("argv", [["figures", "--seed", "1"],
                                   ["figures", "--format", "json"],
-                                  ["oracle", "--seed", "1"]])
+                                  ["oracle", "--seed", "1"],
+                                  ["verify", "--format", "csv"],
+                                  ["oracle", "--format", "json"],
+                                  ["oracle", "--tolerance", "1e-3"]])
 def test_subcommands_refuse_options_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_figures_lambda_zero_usage_error(tmp_path, capsys):
+    assert main(["figures", "--out", str(tmp_path), "--lambda", "0"]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "region.csv").exists()
+
+
+def test_trajectory_tables(capsys):
+    assert main(["trajectory", "--t-max", "20"]) == 0
+    out = capsys.readouterr().out
+    titles = ["thermal(N=1) + vacuum, balanced beam splitter",
+              "vacuum + vacuum, amplifier gain 2"]
+    tables = [block.splitlines() for block in out.strip("\n").split("\n\n")]
+    assert [table[0] for table in tables] == titles
+    first_ratio = float(tables[0][2].split()[-1])
+    want = (0.5 * math.exp(symplectic.g(1.0)) + 0.5) / math.exp(symplectic.g(0.5))
+    assert abs(first_ratio - want) < 1e-12
+    assert [table[-1].split()[-1] for table in tables] == ["1.000000000000"] * 2
+
+
+def test_trajectory_t_max_zero_usage_error(capsys):
+    assert main(["trajectory", "--t-max", "0"]) == 2
+    assert "usage error" in capsys.readouterr().err
 
 
 def _csv_writer_bytes(rows) -> bytes:

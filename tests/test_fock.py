@@ -37,6 +37,13 @@ def test_thermal_state_entropy():
         fock.thermal_state(2.0, 8)
 
 
+def test_vacuum_at_cutoff_zero_is_cutoff_error():
+    with pytest.raises(fock.CutoffError):
+        fock.vacuum_state(0)
+    with pytest.raises(fock.CutoffError):
+        fock.thermal_state(0.0, 0)
+
+
 def test_coherent_state():
     alpha = 1.2 + 0.4j
     coh = fock.coherent_state(alpha, 40)
@@ -98,7 +105,7 @@ def test_two_mode_mix_cutoff_gate():
     dim = 12
     vac = fock.vacuum_state(dim)
     pops = 0.5 ** np.arange(dim)
-    hot = fock.FockDensityMatrix(1, dim, np.diag(pops / pops.sum()).astype(complex))
+    hot = fock.FockDensityMatrix(np.diag(pops / pops.sum()).astype(complex))
     cases = [(vac, vac, MixingParams.amplifier(2.0)),
              (hot, vac, MixingParams.beam_splitter(0.5)),
              (fock.fock_state(2, dim), hot, MixingParams.amplifier(1.1)),
@@ -114,7 +121,7 @@ def test_two_mode_mix_cutoff_gate():
 
 
 def test_vn_entropy_maximally_mixed():
-    rho = fock.FockDensityMatrix(1, 4, np.eye(4, dtype=complex) / 4.0)
+    rho = fock.FockDensityMatrix(np.eye(4, dtype=complex) / 4.0)
     assert fock.vn_entropy(rho) == pytest.approx(math.log(4.0), abs=1e-12)
 
 
@@ -142,8 +149,8 @@ def test_relative_entropy_nonnegative_random():
         m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         sig = m @ m.conj().T
         sig /= np.trace(sig).real
-        val = fock.relative_entropy(fock.FockDensityMatrix(1, 8, rho),
-                                    fock.FockDensityMatrix(1, 8, sig))
+        val = fock.relative_entropy(fock.FockDensityMatrix(rho),
+                                    fock.FockDensityMatrix(sig))
         assert val >= -1e-10
 
 
@@ -173,12 +180,12 @@ def _random_state(rng, dim, rank=None):
     rank = dim if rank is None else rank
     m = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = m @ m.conj().T
-    return fock.FockDensityMatrix(1, dim, rho / np.trace(rho).real)
+    return fock.FockDensityMatrix(rho / np.trace(rho).real)
 
 
 def _random_diagonal(rng, dim):
     pops = rng.random(dim)
-    return fock.FockDensityMatrix(1, dim, np.diag(pops / pops.sum()).astype(complex))
+    return fock.FockDensityMatrix(np.diag(pops / pops.sum()).astype(complex))
 
 
 @functools.lru_cache(maxsize=None)
@@ -282,7 +289,7 @@ def test_liouville_evolve_matches_dense_reference(t):
     # the Fock-diagonal input takes the path that skips its zero bands
     dim = 10
     rho = _random_state(np.random.default_rng(7), dim)
-    diagonal = fock.FockDensityMatrix(1, dim, np.diag(np.diag(rho.rho)))
+    diagonal = fock.FockDensityMatrix(np.diag(np.diag(rho.rho)))
     for state in (rho, diagonal):
         want = sla.expm(t * _dense_noise_superoperator(dim)) @ state.rho.reshape(-1)
         got = fock.liouville_evolve(state, t)
@@ -325,13 +332,14 @@ def test_trace_leak():
 
 def test_density_matrix_validation():
     with pytest.raises(fock.NumericError):
-        fock.FockDensityMatrix(1, 4, np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex))
+        fock.FockDensityMatrix(np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex))
     with pytest.raises(fock.NumericError):
         m = np.zeros((4, 4), dtype=complex)
         m[0, 1] = 1.0
         m[0, 0] = 1.0
-        fock.FockDensityMatrix(1, 4, m)
+        fock.FockDensityMatrix(m)
     with pytest.raises(DomainError):
-        fock.FockDensityMatrix(3, 4, np.eye(64, dtype=complex) / 64.0)
+        fock.FockDensityMatrix(np.ones((4, 3), dtype=complex) / 3.0)
     with pytest.raises(DomainError):
-        fock.FockDensityMatrix(2, 4, np.eye(16, dtype=complex) / 16.0)
+        fock.FockDensityMatrix(np.zeros((0, 0), dtype=complex))
+    assert fock.FockDensityMatrix(np.eye(4, dtype=complex) / 4.0).dim == 4
