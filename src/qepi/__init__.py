@@ -15,6 +15,6 @@ from .inequalities import (InequalityReport, asymptotic_check, delta_surface_max
                            random_qepi_suite, ratio_trajectory)
 from .symplectic import (GaussianState, delta, entropy, entropy_power, g, g_inv,
                          photon_number, random_gaussian_state,
-                         symplectic_eigenvalues)
+                         spectrum_entropy, symplectic_eigenvalues)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import fock
 from .channels import MixingParams, add_noise
-from .symplectic import GaussianState, entropy, symplectic_eigenvalues
+from .symplectic import (DomainError, GaussianState, entropy, spectrum_entropy,
+                         symplectic_eigenvalues)
 
 FULL_RANK_NU_TOL = 1e-6
 FULL_RANK_EIG_TOL = 1e-10
@@ -39,31 +40,47 @@ class FisherRecord:
                 "per_direction": list(self.per_direction)}
 
 
+def _require_step(name: str, step: float) -> None:
+    """A finite-difference step must be finite and positive."""
+    if not (math.isfinite(step) and step > 0):
+        raise DomainError(f"{name} must be finite and positive, got {step}")
+
+
 def full_rank(state: GaussianState):
     """Whether each state is far enough from purity for a finite Fisher information.
 
     True where the smallest symplectic eigenvalue is at least
     1 + FULL_RANK_NU_TOL; a bool for one state, an array for a stack.
     """
-    return symplectic_eigenvalues(state)[..., 0] >= 1.0 + FULL_RANK_NU_TOL
+    return spectrum_full_rank(symplectic_eigenvalues(state))
+
+
+def spectrum_full_rank(nus: np.ndarray):
+    """full_rank of the states whose symplectic spectra nus, shape (..., n), are known."""
+    return nus[..., 0] >= 1.0 + FULL_RANK_NU_TOL
 
 
 def fisher_total_gaussian(state: GaussianState, h: float = 1e-3) -> FisherRecord:
     """Total Fisher information of a Gaussian state via 4 dS/dt at t = 0.
 
-    Central differences in the noise time with one Richardson step; the
-    entropy of gamma + t*I is smooth in t even at degenerate symplectic
-    eigenvalues.  On a stack of states, total is an array over its leading
+    Forward differences in the noise time at steps h, h/2 and h/4 with two
+    Richardson levels; the entropy of gamma + t*I is smooth in t even at
+    degenerate symplectic eigenvalues.  The state's one spectrum gives both
+    the purity check and S(0); the three noisy copies take one stacked
+    entropy call.  On a stack of states, total is an array over its leading
     axes, and DivergenceError is raised if any state is near-pure.
     """
-    if not np.all(full_rank(state)):
+    _require_step("h", h)
+    nus = symplectic_eigenvalues(state)
+    if not np.all(spectrum_full_rank(nus)):
         raise DivergenceError("Fisher information diverges near purity "
                               f"(min nu below 1 + {FULL_RANK_NU_TOL})")
     # Forward differences only: t < 0 could leave the physical cone for
     # near-pure squeezed states.  Two Richardson levels give O(h^3) error.
-    times = np.array([0.0, h, h / 2.0, h / 4.0])
-    times = times.reshape((4,) + (1,) * (state.gamma.ndim - 2))
-    s0, s1, s2, s4 = entropy(add_noise(state, times))
+    times = np.array([h, h / 2.0, h / 4.0])
+    times = times.reshape((3,) + (1,) * (state.gamma.ndim - 2))
+    s0 = spectrum_entropy(nus)
+    s1, s2, s4 = entropy(add_noise(state, times))
     d1, d2, d4 = (s1 - s0) / h, (s2 - s0) / (h / 2.0), (s4 - s0) / (h / 4.0)
     r1 = 2.0 * d2 - d1
     r2 = 2.0 * d4 - d2
@@ -82,6 +99,7 @@ def fisher_direction_fock(rho: fock.FockDensityMatrix, direction: str,
     [S(rho||rho_h) + S(rho||rho_-h)] / h^2, Richardson-extrapolated over
     h and h/2.
     """
+    _require_step("h", h)
     evs = np.linalg.eigvalsh(rho.rho)
     if evs[0] < FULL_RANK_EIG_TOL:
         raise DivergenceError(
@@ -125,6 +143,8 @@ class DeBruijnRecord:
 def debruijn_check(rho: fock.FockDensityMatrix, h_theta: float = 0.05,
                    h_t: float = 0.01, rel_tol: float = 1e-3) -> DeBruijnRecord:
     """Direction-summed Fisher information vs 4 dS/dt under additive noise."""
+    _require_step("h_theta", h_theta)
+    _require_step("h_t", h_t)
     lhs = fisher_total_fock(rho, h=h_theta).total
     s0 = fock.vn_entropy(rho)
 

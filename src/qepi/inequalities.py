@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import symplectic
 from .channels import AMPLIFIER, BEAM_SPLITTER, MixingParams, add_noise, mix
-from .fisher import fisher_total_gaussian, full_rank, stam_check
+from .fisher import fisher_total_gaussian, spectrum_full_rank, stam_check
 from .symplectic import (DomainError, GaussianState, entropy, g, g_inv,
-                         random_gaussian_state)
+                         random_gaussian_state, spectrum_entropy)
 
 GAUSSIAN_SLACK_TOL = 1e-9
 ORACLE_SLACK_TOL = 1e-6
@@ -280,8 +281,8 @@ def ratio_trajectory(a: GaussianState, b: GaussianState, p: MixingParams,
     e^{S_X/n - u_X} stays bounded while t_X grows like e^{e t / 2}, recorded
     at step 0.01 up to t = 10 and step 1 beyond; a failure raises IntegrationError.
     """
-    if t_max <= 0:
-        raise DomainError("t_max must be positive")
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise DomainError(f"t_max must be finite and positive, got {t_max}")
     # scipy.integrate costs about 0.2 s to import; only this function needs it
     from scipy.integrate import solve_ivp
 
@@ -409,9 +410,11 @@ def random_qepi_suite(trials: int, seed: int, p: MixingParams,
     random_gaussian_state(1, default_rng(SeedSequence((seed, i, k)))), so
     any trial can be replayed alone.  Trials run in chunks of SUITE_CHUNK:
     each chunk is drawn in one call, and its states mixed, their
-    entropies, photon numbers and Fisher informations computed and every
-    inequality checked, one array call each.  Trials with a near-pure A, B
-    or C are out of Stam's domain and counted as skipped.
+    symplectic spectra, entropies, photon numbers and Fisher informations
+    computed and every inequality checked, one array call each; the one
+    spectrum of the A/B/C stack gives both the entropies and Stam's domain.
+    Trials with a near-pure A, B or C are out of that domain and counted as
+    skipped.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
@@ -429,7 +432,10 @@ def random_qepi_suite(trials: int, seed: int, p: MixingParams,
         b = GaussianState(1, pair[:, 1], validate=False)
         abc = GaussianState(1, np.stack([a.gamma, b.gamma, mix(a, b, p).gamma], axis=1),
                             validate=False)
-        s_a, s_b, s_c = entropy(abc).T
+        # looked up on the module, as entropy() does, so that a replacement of
+        # symplectic.symplectic_eigenvalues reaches the suite's spectrum too
+        nus = symplectic.symplectic_eigenvalues(abc)
+        s_a, s_b, s_c = spectrum_entropy(nus).T
         n_a, n_b, n_c = g_inv(np.stack([s_a, s_b, s_c])).reshape(3, -1)
         # (report, trial index of each of its elements), in per-trial order
         checks = [(qepi_check(s_a, s_b, s_c, 1, p), idx),
@@ -444,7 +450,7 @@ def random_qepi_suite(trials: int, seed: int, p: MixingParams,
         else:
             gaps[idx] = amplifier_photon_gap(n_a, n_b, n_c, p.lambda_A)
         if with_stam:
-            rows = np.flatnonzero(np.all(full_rank(abc), axis=1))
+            rows = np.flatnonzero(np.all(spectrum_full_rank(nus), axis=1))
             stam_checked += rows.size
             if rows.size:
                 j_a, j_b, j_c = fisher_total_gaussian(GaussianState(

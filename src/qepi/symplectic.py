@@ -97,20 +97,24 @@ def _require_finite(gamma: np.ndarray) -> None:
 def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
     """Symplectic spectrum nu of each covariance matrix, shape (..., n), ascending.
 
-    With gamma = L L^T (Cholesky), the Hermitian matrix L^T (i Omega) L is
+    With gamma = L L^T (Cholesky), the Hermitian matrix i L^T Omega L is
     similar to i Omega gamma, whose eigenvalues are +-nu_k; the upper n of
-    its eigvalsh are the nu_k.  A gamma that is not positive definite is no
-    covariance matrix and raises ValidationError.  Symmetry is checked only
-    by a validating GaussianState; states built with validate=False are
-    trusted to be symmetric.
+    its eigvalsh are the nu_k.  Omega L is L with each row pair (2j, 2j+1)
+    replaced by (row 2j+1, -row 2j), so the only product is one real
+    batched matmul L^T (Omega L).  A gamma that is not positive definite is
+    no covariance matrix and raises ValidationError.  Symmetry is checked
+    only by a validating GaussianState; states built with validate=False
+    are trusted to be symmetric.
     """
     _require_finite(state.gamma)
     try:
         chol = np.linalg.cholesky(state.gamma)
     except np.linalg.LinAlgError:
         raise ValidationError("covariance matrix is not positive definite") from None
-    herm = chol.swapaxes(-1, -2) @ (1j * symplectic_form(state.n)) @ chol
-    return np.linalg.eigvalsh(herm)[..., state.n:]
+    omega_chol = np.empty_like(chol)
+    omega_chol[..., 0::2, :] = chol[..., 1::2, :]
+    omega_chol[..., 1::2, :] = -chol[..., 0::2, :]
+    return np.linalg.eigvalsh(1j * (chol.swapaxes(-1, -2) @ omega_chol))[..., state.n:]
 
 
 def g(mean_photons) -> float:
@@ -174,7 +178,15 @@ def entropy(state: GaussianState):
 
     A float for one state, an array over the leading axes for a stack.
     """
-    nus = symplectic_eigenvalues(state)
+    return spectrum_entropy(symplectic_eigenvalues(state))
+
+
+def spectrum_entropy(nus: np.ndarray):
+    """Entropy sum_k g((nu_k - 1)/2) of states with symplectic spectra nus, shape (..., n).
+
+    For a caller that already holds the spectrum; a nu below 1 by more than
+    PHYSICALITY_TOL is no quantum state and raises ValidationError.
+    """
     if not np.all(nus[..., 0] >= 1.0 - PHYSICALITY_TOL):
         raise ValidationError(f"unphysical state: min nu {nus.min()}")
     out = np.sum(g((np.maximum(nus, 1.0) - 1.0) / 2.0), axis=-1)

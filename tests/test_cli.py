@@ -176,6 +176,13 @@ def test_trajectory_t_max_zero_usage_error(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_max", ["nan", "inf"])
+def test_trajectory_non_finite_t_max_usage_error(t_max, capsys):
+    assert main(["trajectory", "--t-max", t_max]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: t_max must be finite and positive")
+
+
 def _csv_writer_bytes(rows) -> bytes:
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)

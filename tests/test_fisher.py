@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from qepi import fock
-from qepi.channels import MixingParams, mix
+from qepi.channels import MixingParams, add_noise, mix
 from qepi.fisher import (DivergenceError, debruijn_check, fisher_direction_fock,
                          fisher_total_fock, fisher_total_gaussian, full_rank,
-                         optimal_weights, stam_check, weighted_fisher_check)
-from qepi.symplectic import GaussianState, entropy, random_gaussian_state
+                         optimal_weights, spectrum_full_rank, stam_check,
+                         weighted_fisher_check)
+from qepi.symplectic import (DomainError, GaussianState, entropy, random_gaussian_state,
+                             symplectic_eigenvalues)
 
 # cutoffs keeping thermal tails full-rank above the 1e-10 eigenvalue gate
 FISHER_DIMS = {0.5: 21, 1.0: 30, 2.0: 50}
@@ -52,6 +54,52 @@ def test_gaussian_route_stack_matches_rows():
         one = fisher_total_gaussian(state).total
         assert isinstance(one, float)
         assert total[k, 0] == total[k, 1] == pytest.approx(one, rel=1e-12)
+
+
+def _four_time_total(state: GaussianState, h: float = 1e-3):
+    """The Gaussian route with S(0) taken from the noise stack [0, h, h/2, h/4]."""
+    times = np.array([0.0, h, h / 2.0, h / 4.0])
+    times = times.reshape((4,) + (1,) * (state.gamma.ndim - 2))
+    s0, s1, s2, s4 = entropy(add_noise(state, times))
+    d1, d2, d4 = (s1 - s0) / h, (s2 - s0) / (h / 2.0), (s4 - s0) / (h / 4.0)
+    r1 = 2.0 * d2 - d1
+    r2 = 2.0 * d4 - d2
+    return 4.0 * (r2 + (r2 - r1) / 3.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gaussian_route_equals_four_time_stack(n):
+    keys = np.stack([np.full(600, 41), np.arange(600)], axis=-1)
+    stack = random_gaussian_state(n, keys, nu_max=10.0, r_max=2.0)
+    stack = GaussianState(n, stack.gamma[full_rank(stack)][:450].reshape(
+        (150, 3, 2 * n, 2 * n)), validate=False)
+    assert np.array_equal(fisher_total_gaussian(stack).total, _four_time_total(stack))
+    one = GaussianState(n, stack.gamma[7, 1], validate=False)
+    assert fisher_total_gaussian(one).total == float(_four_time_total(one))
+
+
+def test_full_rank_is_spectrum_full_rank():
+    keys = np.stack([np.full(400, 3), np.arange(400)], axis=-1)
+    stack = random_gaussian_state(1, keys, nu_max=1.0 + 3e-6, r_max=1.0)
+    mask = full_rank(stack)
+    assert 0 < mask.sum() < mask.size
+    assert np.array_equal(mask, spectrum_full_rank(symplectic_eigenvalues(stack)))
+
+
+STEP_CALLS = {
+    "gaussian h": lambda x: fisher_total_gaussian(GaussianState.thermal(1.0), h=x),
+    "fock h": lambda x: fisher_total_fock(fock.thermal_state(1.0, 30), h=x),
+    "direction h": lambda x: fisher_direction_fock(fock.thermal_state(1.0, 30), "p", h=x),
+    "debruijn h_theta": lambda x: debruijn_check(fock.thermal_state(1.0, 30), h_theta=x),
+    "debruijn h_t": lambda x: debruijn_check(fock.thermal_state(1.0, 30), h_t=x)}
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", sorted(STEP_CALLS))
+def test_finite_difference_steps_must_be_finite_and_positive(call, step):
+    name = call.split()[1]
+    with pytest.raises(DomainError, match=f"^{name} must be finite and positive"):
+        STEP_CALLS[call](step)
 
 
 def test_fock_route_thermal_direction():

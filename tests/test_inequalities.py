@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qepi import inequalities
+from qepi import fisher, inequalities, symplectic
 from qepi.channels import MixingParams, mix
 from qepi.fisher import DivergenceError, fisher_total_gaussian, full_rank, stam_check
 from qepi.inequalities import (EPNI_FLOOR, amplifier_photon_gap,
@@ -402,6 +402,34 @@ def test_suite_chunking_leaves_summary_unchanged(params, monkeypatch):
     whole = random_qepi_suite(40, 9, params, with_stam=True).to_dict()
     monkeypatch.setattr(inequalities, "SUITE_CHUNK", 7)
     assert random_qepi_suite(40, 9, params, with_stam=True).to_dict() == whole
+
+
+@pytest.mark.parametrize("with_stam", [False, True])
+def test_suite_takes_one_spectrum_of_each_chunk(with_stam, monkeypatch):
+    # the A/B/C stack of a chunk is decomposed once by the suite; with Stam
+    # the Fisher route decomposes its full-rank rows once more, and their
+    # three noisy copies in one stacked call
+    shapes = []
+    original = symplectic.symplectic_eigenvalues
+
+    def counting(state):
+        shapes.append(state.gamma.shape)
+        return original(state)
+
+    monkeypatch.setattr(symplectic, "symplectic_eigenvalues", counting)
+    monkeypatch.setattr(fisher, "symplectic_eigenvalues", counting)
+    monkeypatch.setattr(inequalities, "SUITE_CHUNK", 7)
+    summary = random_qepi_suite(20, 4, MixingParams.amplifier(2.0), with_stam=with_stam)
+    chunks = [(7, 3, 2, 2), (7, 3, 2, 2), (6, 3, 2, 2)]
+    if not with_stam:
+        assert shapes == chunks
+        return
+    assert len(shapes) == 3 * len(chunks)
+    assert shapes[0::3] == chunks
+    rows = [shape[0] for shape in shapes[1::3]]
+    assert sum(rows) == 20 - summary.stam_skipped
+    assert shapes[1::3] == [(r, 3, 2, 2) for r in rows]
+    assert shapes[2::3] == [(3, r, 3, 2, 2) for r in rows]
 
 
 def _trial_reports(seed, idx, params, mixer=mix):

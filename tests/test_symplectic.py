@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from qepi.symplectic import (G_MAX, PHYSICALITY_TOL, DomainError, GaussianState,
                              ValidationError,
                              delta, entropy, entropy_power, g, g_inv, photon_number,
-                             random_gaussian_state, symplectic_eigenvalues,
-                             symplectic_form)
+                             random_gaussian_state, spectrum_entropy,
+                             symplectic_eigenvalues, symplectic_form)
 
 # high-precision evaluations of the closed forms, frozen as oracles
 G_HALF = 0.9547712524422192
@@ -172,6 +172,62 @@ def test_spectrum_invariant_under_random_symplectic(seed, n, nu_max, r_max):
             closed = g((math.sqrt(np.linalg.det(state.gamma)) - 1.0) / 2.0)
             tol = 1e-12 * np.linalg.cond(state.gamma)
             assert entropy(state) == pytest.approx(closed, rel=tol, abs=tol)
+
+
+def _triple_product_spectrum(gamma: np.ndarray, n: int) -> np.ndarray:
+    """The spectrum as eigvalsh of the complex product L^T (i Omega) L, written out."""
+    chol = np.linalg.cholesky(gamma)
+    herm = chol.swapaxes(-1, -2) @ (1j * symplectic_form(n)) @ chol
+    return np.linalg.eigvalsh(herm)[..., n:]
+
+
+def _seeded_stack(n: int, size: int, **kwargs) -> GaussianState:
+    keys = np.stack([np.full(size, 77 + n), np.arange(size)], axis=-1)
+    return random_gaussian_state(n, keys, **kwargs)
+
+
+def test_spectrum_kernel_matches_triple_product_one_mode():
+    # nu = 1 exactly (nu_max = 1), squeezing up to r = 3, and thermal states
+    gammas = np.concatenate([
+        _seeded_stack(1, 4000, nu_max=1.0, r_max=3.0).gamma,
+        _seeded_stack(1, 5000, nu_max=10.0, r_max=3.0).gamma,
+        _seeded_stack(1, 1000, nu_max=1e6, r_max=1.0).gamma,
+        (2.0 * np.geomspace(1e-9, 1e3, 10)[:, None, None] + 1.0) * np.eye(2)])
+    assert gammas.shape[0] == 10 ** 4 + 10
+    nus = symplectic_eigenvalues(GaussianState(1, gammas, validate=False))
+    assert np.array_equal(nus, _triple_product_spectrum(gammas, 1))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_spectrum_kernel_matches_triple_product_multimode(n):
+    gammas = np.concatenate([_seeded_stack(n, 500, nu_max=1.0, r_max=3.0).gamma,
+                             _seeded_stack(n, 1500, nu_max=10.0, r_max=3.0).gamma])
+    nus = symplectic_eigenvalues(GaussianState(n, gammas, validate=False))
+    want = _triple_product_spectrum(gammas, n)
+    assert nus.shape == (2000, n)
+    assert np.max(np.abs(nus - want) / want) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spectrum_kernel_refuses_non_covariance_input(n):
+    good = 3.0 * np.eye(2 * n)
+    for bad in (-good, np.diag([5.0] + [-0.5] * (2 * n - 1)),
+                np.diag([np.nan] + [3.0] * (2 * n - 1)),
+                np.diag([3.0] * (2 * n - 1) + [np.inf])):
+        with pytest.raises(ValidationError):
+            symplectic_eigenvalues(GaussianState(n, np.stack([good, bad]), validate=False))
+
+
+def test_spectrum_entropy_is_entropy_of_the_spectrum():
+    stack = _seeded_stack(2, 50, nu_max=10.0, r_max=1.0)
+    nus = symplectic_eigenvalues(stack)
+    assert np.array_equal(spectrum_entropy(nus), entropy(stack))
+    thermal = GaussianState.thermal(1.0)
+    assert spectrum_entropy(symplectic_eigenvalues(thermal)) == entropy(thermal)
+    assert spectrum_entropy(np.array([3.0])) == pytest.approx(2.0 * math.log(2.0), abs=1e-15)
+    assert isinstance(spectrum_entropy(np.array([3.0])), float)
+    with pytest.raises(ValidationError):
+        spectrum_entropy(np.array([[3.0], [1.0 - 10 * PHYSICALITY_TOL]]))
 
 
 def test_entropy_examples():
