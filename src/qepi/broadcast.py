@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .files import atomic_write, csv_text
-from .symplectic import DomainError, g
+from .symplectic import g, require
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,9 @@ def capacity_point(transmissivity: float, n_bar: float, beta) -> CapacityPoint:
     beta may be an array, and the rates are then arrays over it; floats for
     a float beta.
     """
-    if not (0.5 <= transmissivity <= 1.0):
-        raise DomainError(f"transmissivity must be in [1/2, 1], got {transmissivity}")
-    b = np.asarray(beta, dtype=float)
-    if n_bar < 0 or not np.all((b >= 0.0) & (b <= 1.0)):
-        raise DomainError("need n_bar >= 0 and beta in [0, 1]")
+    require("transmissivity", transmissivity, 0.5, 1.0)
+    require("n_bar", n_bar, 0.0)
+    b = require("beta", np.asarray(beta, dtype=float), 0.0, 1.0)
     lam = transmissivity
     r_b = g(lam * b * n_bar)
     base = g((1.0 - lam) * n_bar)
@@ -62,8 +60,7 @@ def capacity_point(transmissivity: float, n_bar: float, beta) -> CapacityPoint:
 def capacity_region(transmissivity: float, n_bar: float,
                     grid_size: int = 101) -> list[CapacityPoint]:
     """Sweep beta over a uniform grid."""
-    if grid_size < 2:
-        raise DomainError("grid_size must be at least 2")
+    require("grid_size", grid_size, 2)
     region = capacity_point(transmissivity, n_bar, np.linspace(0.0, 1.0, grid_size))
     return [CapacityPoint(*row) for row in zip(region.beta.tolist(), region.R_B.tolist(),
                                                region.R_C_conjectured.tolist(),

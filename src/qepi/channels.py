@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import DomainError, GaussianState, ValidationError
+from .symplectic import DomainError, GaussianState, ValidationError, require
 
 BEAM_SPLITTER = "beam_splitter"
 AMPLIFIER = "amplifier"
@@ -32,17 +32,14 @@ class MixingParams:
 
     def __post_init__(self):
         if self.kind == BEAM_SPLITTER:
-            if not (0.0 <= self.lambda_A <= 1.0):
-                raise DomainError(f"transmissivity must be in [0,1], got {self.lambda_A}")
-            if abs(self.lambda_A + self.lambda_B - 1.0) > 1e-12:
-                raise DomainError("beam splitter requires lambda_A + lambda_B = 1")
+            require("transmissivity", self.lambda_A, 0.0, 1.0)
+            lambda_b = 1.0 - self.lambda_A
         elif self.kind == AMPLIFIER:
-            if not (1.0 <= self.lambda_A <= KAPPA_MAX):
-                raise DomainError(f"gain must be in [1, {KAPPA_MAX}], got {self.lambda_A}")
-            if abs(self.lambda_A - self.lambda_B - 1.0) > 1e-12:
-                raise DomainError("amplifier requires lambda_A - lambda_B = 1")
+            require("gain", self.lambda_A, 1.0, KAPPA_MAX)
+            lambda_b = self.lambda_A - 1.0
         else:
             raise DomainError(f"unknown mixing kind {self.kind!r}")
+        require("lambda_B", self.lambda_B, lambda_b - 1e-12, lambda_b + 1e-12)
 
     @classmethod
     def beam_splitter(cls, transmissivity: float) -> "MixingParams":
@@ -81,9 +78,7 @@ def add_noise(state: GaussianState, t) -> GaussianState:
     t may be an array of times; it broadcasts against the leading axes of
     the state, so an array of shape (k,) on one state gives k states.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise DomainError(f"noise time must be >= 0, got {t}")
+    t = require("noise time", np.asarray(t, dtype=float), 0.0)
     gamma = state.gamma + t[..., None, None] * np.eye(2 * state.n)
     return GaussianState(state.n, gamma, np.broadcast_to(state.d, gamma.shape[:-1]),
                          validate=False)
@@ -91,8 +86,8 @@ def add_noise(state: GaussianState, t) -> GaussianState:
 
 def displace(state: GaussianState, index: int, amount: float) -> GaussianState:
     """Shift the displacement along one quadrature axis; gamma unchanged."""
-    if not (0 <= index < 2 * state.n):
-        raise DomainError(f"quadrature index {index} out of range for n={state.n}")
+    require("quadrature index", index, 0, 2 * state.n - 1)
+    require("amount", amount)
     d = state.d.copy()
     d[..., index] += amount
     return GaussianState(state.n, state.gamma, d, validate=False)

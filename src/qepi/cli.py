@@ -3,7 +3,7 @@ cross-checks and the proof trajectory.
 
 Exit codes: 0 success, 1 inequality violation, oracle disagreement, a
 numerical failure or an I/O error, 2 usage error, 3 oracle infeasibility
-(cutoff too small).  `main` alone maps errors to them; see its table.
+(cutoff too small).  `main` alone maps errors to them, by family.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import numpy as np
 from . import broadcast, fock
 from .channels import MixingParams
 from .files import atomic_write, csv_text
-from .inequalities import IntegrationError, delta_surface, delta_surface_max, \
-    moe_bound, moe_conjectured, random_qepi_suite, ratio_trajectory
-from .symplectic import DomainError, GaussianState, ValidationError, g
+from .inequalities import delta_surface, delta_surface_max, moe_bound, \
+    moe_conjectured, random_qepi_suite, ratio_trajectory
+from .symplectic import DomainError, GaussianState, NumericError, ValidationError, g
 
 ORACLE_TOLERANCE = 1e-5
 
@@ -51,6 +51,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_figures(args) -> int:
+    # the region first: it checks --lambda and --n-bar before any file is written
+    points = broadcast.capacity_region(args.transmissivity, args.n_bar, grid_size=101)
     os.makedirs(args.out, exist_ok=True)
 
     s_grid, lam_grid, surface = delta_surface()
@@ -74,7 +76,6 @@ def cmd_figures(args) -> int:
         rows += [(f"{s_bar:.10g}",) + row for row in zip(lam_text, ansatz, bound)]
     atomic_write(os.path.join(args.out, "moe_bounds.csv"), csv_text(rows))
 
-    points = broadcast.capacity_region(args.transmissivity, args.n_bar, grid_size=101)
     broadcast.write_region_csv(os.path.join(args.out, "region.csv"), points)
 
     mx, s_at, lam_at = delta_surface_max()
@@ -85,8 +86,6 @@ def cmd_figures(args) -> int:
 
 def cmd_oracle(args) -> int:
     dim = args.cutoff
-    if dim < 1:
-        raise DomainError(f"--cutoff must be at least 1, got {dim}")
     thermal = fock.thermal_state(1.0, dim)
     vac = fock.vacuum_state(dim)
     out = fock.two_mode_mix(thermal, vac, MixingParams.beam_splitter(0.5))
@@ -177,17 +176,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # the one place an error becomes an exit code; the first match wins
+    # the one place an error becomes an exit code; an error of no family is a bug
     try:
         return args.func(args)
     except fock.CutoffError as exc:
         print(f"infeasible: {exc} (leak={exc.leak:.3e})", file=sys.stderr)
         return 3
-    except (ValidationError, fock.NumericError, fock.AccuracyError,
-            IntegrationError) as exc:
+    except (ValidationError, NumericError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

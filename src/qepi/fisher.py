@@ -15,15 +15,16 @@ import numpy as np
 
 from . import fock
 from .channels import MixingParams, add_noise
-from .symplectic import (DomainError, GaussianState, entropy, spectrum_entropy,
-                         symplectic_eigenvalues)
+from .symplectic import (GaussianState, NumericError, entropy, require,
+                         spectrum_entropy, symplectic_eigenvalues)
 
 FULL_RANK_NU_TOL = 1e-6
 FULL_RANK_EIG_TOL = 1e-10
 EXTRAPOLATION_REL_TOL = 1e-4
+DEBRUIJN_REL_TOL = 1e-3
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(NumericError):
     """Fisher information diverges for (near-)pure states; refused."""
 
 
@@ -38,12 +39,6 @@ class FisherRecord:
         return {"total": self.total, "method": self.method,
                 "state_ref": self.state_ref,
                 "per_direction": list(self.per_direction)}
-
-
-def _require_step(name: str, step: float) -> None:
-    """A finite-difference step must be finite and positive."""
-    if not (math.isfinite(step) and step > 0):
-        raise DomainError(f"{name} must be finite and positive, got {step}")
 
 
 def full_rank(state: GaussianState):
@@ -70,7 +65,7 @@ def fisher_total_gaussian(state: GaussianState, h: float = 1e-3) -> FisherRecord
     entropy call.  On a stack of states, total is an array over its leading
     axes, and DivergenceError is raised if any state is near-pure.
     """
-    _require_step("h", h)
+    require("h", h, 0.0, low_open=True)
     nus = symplectic_eigenvalues(state)
     if not np.all(spectrum_full_rank(nus)):
         raise DivergenceError("Fisher information diverges near purity "
@@ -99,7 +94,7 @@ def fisher_direction_fock(rho: fock.FockDensityMatrix, direction: str,
     [S(rho||rho_h) + S(rho||rho_-h)] / h^2, Richardson-extrapolated over
     h and h/2.
     """
-    _require_step("h", h)
+    require("h", h, 0.0, low_open=True)
     evs = np.linalg.eigvalsh(rho.rho)
     if evs[0] < FULL_RANK_EIG_TOL:
         raise DivergenceError(
@@ -141,10 +136,10 @@ class DeBruijnRecord:
 
 
 def debruijn_check(rho: fock.FockDensityMatrix, h_theta: float = 0.05,
-                   h_t: float = 0.01, rel_tol: float = 1e-3) -> DeBruijnRecord:
-    """Direction-summed Fisher information vs 4 dS/dt under additive noise."""
-    _require_step("h_theta", h_theta)
-    _require_step("h_t", h_t)
+                   h_t: float = 0.01) -> DeBruijnRecord:
+    """Direction-summed Fisher information vs 4 dS/dt, to DEBRUIJN_REL_TOL relative."""
+    require("h_theta", h_theta, 0.0, low_open=True)
+    require("h_t", h_t, 0.0, low_open=True)
     lhs = fisher_total_fock(rho, h=h_theta).total
     s0 = fock.vn_entropy(rho)
 
@@ -157,7 +152,7 @@ def debruijn_check(rho: fock.FockDensityMatrix, h_theta: float = 0.05,
     rhs = 4.0 * (2.0 * d2 - d1)
     dev = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return DeBruijnRecord(fisher_sum=lhs, entropy_rate_times_4=rhs,
-                          relative_deviation=dev, passes=dev < rel_tol)
+                          relative_deviation=dev, passes=dev < DEBRUIJN_REL_TOL)
 
 
 def stam_check(j_a, j_b, j_c, p: MixingParams, tol: float = 1e-9):

@@ -21,7 +21,7 @@ from scipy.linalg.blas import zherk
 from scipy.special import gammaln, xlogy
 
 from .channels import BEAM_SPLITTER, MixingParams
-from .symplectic import DomainError
+from .symplectic import DomainError, NumericError, require
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-8
@@ -38,12 +38,8 @@ class CutoffError(RuntimeError):
         self.leak = leak
 
 
-class AccuracyError(RuntimeError):
+class AccuracyError(NumericError):
     """A numerical routine failed its embedded accuracy estimate."""
-
-
-class NumericError(RuntimeError):
-    """Unexpected numerical pathology (e.g. significant negative eigenvalues)."""
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,9 @@ def vacuum_state(dim: int) -> FockDensityMatrix:
 
 
 def fock_state(k: int, dim: int) -> FockDensityMatrix:
-    if not (0 <= k < dim):
+    require("cutoff", dim, 1)
+    require("Fock level", k, 0)
+    if k >= dim:
         raise CutoffError(f"Fock level {k} does not fit below cutoff {dim}")
     rho = np.zeros((dim, dim), dtype=complex)
     rho[k, k] = 1.0
@@ -100,8 +98,8 @@ def fock_state(k: int, dim: int) -> FockDensityMatrix:
 
 
 def thermal_state(mean_photons: float, dim: int) -> FockDensityMatrix:
-    if mean_photons < 0:
-        raise DomainError("mean photon number must be >= 0")
+    require("cutoff", dim, 1)
+    require("mean photon number", mean_photons, 0.0)
     if mean_photons == 0:
         return vacuum_state(dim)
     n = np.arange(dim)
@@ -115,6 +113,8 @@ def thermal_state(mean_photons: float, dim: int) -> FockDensityMatrix:
 
 
 def coherent_state(alpha: complex, dim: int) -> FockDensityMatrix:
+    require("cutoff", dim, 1)
+    require("|alpha|", abs(alpha), 0.0)
     n = np.arange(dim)
     log_amp = n * np.log(np.abs(alpha)) if alpha != 0 else np.where(n == 0, 0.0, -np.inf)
     amps = np.exp(-0.5 * abs(alpha) ** 2 + log_amp - 0.5 * gammaln(n + 1.0))
@@ -129,6 +129,7 @@ def coherent_state(alpha: complex, dim: int) -> FockDensityMatrix:
 
 def squeezed_thermal_state(r: float, mean_photons: float, dim: int) -> FockDensityMatrix:
     """Single-mode squeezer applied to a thermal state."""
+    require("r", r)
     base = thermal_state(mean_photons, dim)
     a = ladder(dim)
     squeezer = sla.expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
@@ -427,8 +428,7 @@ def liouville_evolve(rho: FockDensityMatrix, t: float) -> FockDensityMatrix:
     that is exactly zero stays zero and is skipped, so a Fock-diagonal
     input costs one eigensolve.
     """
-    if t < 0:
-        raise DomainError("evolution time must be >= 0")
+    require("evolution time", t, 0.0)
     if t == 0:
         return rho
     dim = rho.dim
@@ -457,6 +457,7 @@ def displace_fock(rho: FockDensityMatrix, direction: str,
     """
     if direction not in ("q", "p"):
         raise DomainError(f"direction must be 'q' or 'p', got {direction!r}")
+    require("theta", theta)
     q1, p1 = quadratures(rho.dim)
     gen = -1j * theta * p1 if direction == "q" else 1j * theta * q1
     u = sla.expm(gen)

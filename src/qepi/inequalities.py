@@ -16,12 +16,13 @@ import numpy as np
 from . import symplectic
 from .channels import AMPLIFIER, BEAM_SPLITTER, MixingParams, add_noise, mix
 from .fisher import fisher_total_gaussian, spectrum_full_rank, stam_check
-from .symplectic import (DomainError, GaussianState, entropy, g, g_inv,
-                         random_gaussian_state, spectrum_entropy)
+from .symplectic import (GaussianState, NumericError, entropy, g, g_inv,
+                         random_gaussian_state, require, spectrum_entropy)
 
 GAUSSIAN_SLACK_TOL = 1e-9
 ORACLE_SLACK_TOL = 1e-6
 EPNI_FLOOR = 1.0 / math.e - 0.5
+ASYMPTOTIC_MARGIN = 0.01
 
 
 def _scalar(x):
@@ -29,11 +30,9 @@ def _scalar(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _entropies(*values) -> tuple:
-    arrays = tuple(np.asarray(v, dtype=float) for v in values)
-    if any(np.any(a < 0) for a in arrays):
-        raise DomainError("entropies must be nonnegative")
-    return arrays
+def _entropies(s_a, s_b, s_c) -> tuple:
+    return tuple(require(name, np.asarray(s, dtype=float), 0.0)
+                 for name, s in (("S_A", s_a), ("S_B", s_b), ("S_C", s_c)))
 
 
 @dataclass(frozen=True)
@@ -118,9 +117,9 @@ def epni_gap(n_a, n_b, n_c, transmissivity: float,
     carry relative rounding, so the tolerance is tol * max(1, N_C).
     Photon numbers may be arrays, as in qepi_check.
     """
-    a, b, c = (np.asarray(x, dtype=float) for x in (n_a, n_b, n_c))
-    if any(np.any(x < 0) for x in (a, b, c)) or not (0.0 <= transmissivity <= 1.0):
-        raise DomainError("need nonnegative photon numbers and lam in [0,1]")
+    a, b, c = (require(name, np.asarray(x, dtype=float), 0.0)
+               for name, x in (("N_A", n_a), ("N_B", n_b), ("N_C", n_c)))
+    require("transmissivity", transmissivity, 0.0, 1.0)
     gap = _scalar(c - transmissivity * a - (1.0 - transmissivity) * b)
     return InequalityReport.build("epni_floor", gap, EPNI_FLOOR,
                                   tol=tol * np.maximum(1.0, c),
@@ -140,11 +139,8 @@ def amplifier_photon_gap(n_a, n_b, n_c, gain: float):
 # minimum output entropy bound and its gap surface
 
 def _moe_domain(s_bar, transmissivity):
-    s = np.asarray(s_bar, dtype=float)
-    lam = np.asarray(transmissivity, dtype=float)
-    if np.any(s < 0) or not np.all((lam >= 0.0) & (lam <= 1.0)):
-        raise DomainError("need S >= 0 and lam in [0,1]")
-    return s, lam
+    return (require("S_bar", np.asarray(s_bar, dtype=float), 0.0),
+            require("transmissivity", np.asarray(transmissivity, dtype=float), 0.0, 1.0))
 
 
 def moe_bound(s_bar, transmissivity):
@@ -243,7 +239,7 @@ TRAJECTORY_RTOL = 1e-10
 TRAJECTORY_ATOL = 1e-12
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(NumericError):
     """The trajectory solve failed; the message is the solver's."""
 
 
@@ -281,8 +277,7 @@ def ratio_trajectory(a: GaussianState, b: GaussianState, p: MixingParams,
     e^{S_X/n - u_X} stays bounded while t_X grows like e^{e t / 2}, recorded
     at step 0.01 up to t = 10 and step 1 beyond; a failure raises IntegrationError.
     """
-    if not (math.isfinite(t_max) and t_max > 0):
-        raise DomainError(f"t_max must be finite and positive, got {t_max}")
+    require("t_max", t_max, 0.0, low_open=True)
     # scipy.integrate costs about 0.2 s to import; only this function needs it
     from scipy.integrate import solve_ivp
 
@@ -319,16 +314,13 @@ class AsymptoticReport:
     ratio_within_tolerance: bool
 
 
-def asymptotic_check(state: GaussianState, t_grid,
-                     upper_margin: float = 0.01) -> AsymptoticReport:
-    """Check e^{S(t)/n} <= e(lam0 + t)/2 + margin and convergence to et/2."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < 0):
-        raise DomainError("times must be nonnegative")
+def asymptotic_check(state: GaussianState, t_grid) -> AsymptoticReport:
+    """Check e^{S(t)/n} <= e(lam0 + t)/2 + ASYMPTOTIC_MARGIN and convergence to et/2."""
+    t_grid = require("t", np.asarray(t_grid, dtype=float), 0.0)
     n = state.n
     lam0 = float(np.max(np.linalg.eigvalsh(state.gamma)))
     eps = np.exp(entropy(add_noise(state, t_grid)) / n)
-    bounds = math.e * (lam0 + t_grid) / 2.0 + upper_margin
+    bounds = math.e * (lam0 + t_grid) / 2.0 + ASYMPTOTIC_MARGIN
     pos = t_grid > 0
     ratios = np.full(t_grid.shape, np.nan)
     ratios[pos] = eps[pos] / (math.e * t_grid[pos] / 2.0) - 1.0
@@ -416,10 +408,8 @@ def random_qepi_suite(trials: int, seed: int, p: MixingParams,
     Trials with a near-pure A, B or C are out of that domain and counted as
     skipped.
     """
-    if trials < 1:
-        raise DomainError("need at least one trial")
-    if not 0 <= seed < 2 ** 64:
-        raise DomainError(f"seed must be in [0, 2**64), got {seed}")
+    require("trials", trials, 1)
+    require("seed", seed, 0, 2 ** 64 - 1)
     mins = {name: _Minimum() for name in ("qepi", "linear", "stam", "gap")}
     gaps, failures = np.empty(trials), []
     stam_checked = 0

@@ -17,6 +17,8 @@ from . import seedstream
 
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
+# ln of the largest float: math.exp overflows above it
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class DomainError(ValueError):
@@ -27,10 +29,41 @@ class ValidationError(ValueError):
     """A state or matrix violates a structural invariant."""
 
 
+class NumericError(RuntimeError):
+    """A computation on valid arguments failed numerically."""
+
+
+def require(name: str, value, low=-math.inf, high=math.inf, *, low_open: bool = False):
+    """Return value if every element lies between low and high; else raise DomainError.
+
+    The bounds are inclusive, except low with low_open and an infinite bound:
+    so NaN lies in no interval, and the default one holds exactly the
+    finite numbers.  A scalar is compared as it is, so an integer is never
+    rounded to float.  Only a failure formats a message, which names the
+    first element outside.
+    """
+    low_open |= low == -math.inf
+    high_open = high == math.inf
+    scalar = isinstance(value, (int, float, np.generic))
+    a = value if scalar else np.asarray(value)
+    ok = (a > low if low_open else a >= low) & (a < high if high_open else a <= high)
+    if ok if scalar else ok.all():
+        return value
+    where = tuple(np.argwhere(~ok)[0].tolist()) if np.ndim(a) else ()
+    got = f"{a[where]} at index {where[0] if len(where) == 1 else where}" if where else a
+    if high < math.inf:
+        interval = f"in {'(' if low_open else '['}{low}, {high}]"
+    else:
+        bound = ("positive" if low == 0 and low_open else
+                 f"{'>' if low_open else '>='} {low}" if low > -math.inf else "")
+        finite = "finite" if np.asarray(a).dtype.kind == "f" else ""
+        interval = " and ".join(word for word in (finite, bound) if word)
+    raise DomainError(f"{name} must be {interval}, got {got}")
+
+
 def symplectic_form(n: int) -> np.ndarray:
     """2n x 2n symplectic form, block diagonal of [[0,1],[-1,0]]."""
-    if n < 1:
-        raise DomainError(f"mode count must be positive, got {n}")
+    require("mode count", n, 1)
     omega = np.zeros((2 * n, 2 * n))
     for j in range(n):
         omega[2 * j, 2 * j + 1] = 1.0
@@ -83,8 +116,7 @@ class GaussianState:
 
     @classmethod
     def thermal(cls, mean_photons: float, n: int = 1) -> "GaussianState":
-        if mean_photons < 0:
-            raise DomainError("mean photon number must be nonnegative")
+        require("mean photon number", mean_photons, 0)
         return cls(n, (2.0 * mean_photons + 1.0) * np.eye(2 * n), validate=False)
 
 
@@ -119,9 +151,7 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
 
 def g(mean_photons) -> float:
     """Entropy in nats of a thermal mode with the given mean photon number."""
-    N = np.asarray(mean_photons, dtype=float)
-    if np.any(~np.isfinite(N)) or np.any(N < 0):
-        raise DomainError(f"mean photon number must be finite and >= 0, got {mean_photons}")
+    N = require("mean photon number", np.asarray(mean_photons, dtype=float), 0)
     # (N+1)ln(N+1) - N ln N rewritten as ln(N+1) + N ln(1 + 1/N); the naive
     # form loses all precision to cancellation for large N
     flat = np.atleast_1d(N).astype(float)
@@ -149,10 +179,7 @@ def g_inv(entropy_nats) -> float:
     it; a step that would land at N <= 0 divides the iterate by 10 instead.
     """
     # -0.0 + 0.0 is 0.0, so a signed zero takes the path whose root is exactly 0
-    s = np.asarray(entropy_nats, dtype=float) + 0.0
-    if np.any(~np.isfinite(s)) or np.any(s < 0) or np.any(s > G_MAX):
-        raise DomainError(
-            f"entropy must be finite and in [0, {G_MAX:.6f}], got {entropy_nats}")
+    s = require("entropy", np.asarray(entropy_nats, dtype=float) + 0.0, 0, G_MAX)
     # log(0) and 1/x at x = 0 or subnormal x give inf, which makes the step 0
     with np.errstate(divide="ignore", over="ignore"):
         # start from the large-N asymptote g(N) ~ 1 + ln(N + 1/2) or the
@@ -195,15 +222,14 @@ def spectrum_entropy(nus: np.ndarray):
 
 def entropy_power(entropy_nats: float, n: int) -> float:
     """exp(S/n), the quantity the entropy power inequality bounds linearly."""
-    if entropy_nats < 0 or n < 1:
-        raise DomainError("need S >= 0 and n >= 1")
+    require("mode count", n, 1)
+    require("entropy per mode", entropy_nats / n, 0, LOG_FLOAT_MAX)
     return math.exp(entropy_nats / n)
 
 
 def photon_number(entropy_nats: float, n: int) -> float:
     """Mean photon number per mode of a thermal state with the same entropy."""
-    if n < 1:
-        raise DomainError("need n >= 1")
+    require("mode count", n, 1)
     return g_inv(entropy_nats / n)
 
 
@@ -213,9 +239,7 @@ def delta(x) -> float:
     delta(x) = g_inv(ln x) - x/e + 1/2, defined for x >= 1; nonnegative,
     decreasing, convex, with delta(1) = 1/2 - 1/e.
     """
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 1.0):
-        raise DomainError(f"entropy power must be >= 1, got {x}")
+    xa = require("entropy power", np.asarray(x, dtype=float), 1.0)
     out = g_inv(np.log(xa)) - xa / math.e + 0.5
     return float(out) if xa.ndim == 0 else out
 
@@ -225,9 +249,7 @@ def _seed_keys(seed) -> np.ndarray:
     keys = np.asarray(seed)
     if keys.dtype.kind not in "iu" or keys.size == 0:
         raise DomainError(f"seed must be integers in [0, 2**64), got {seed!r}")
-    if keys.dtype.kind == "i" and np.any(keys < 0):
-        raise DomainError(f"seed must be nonnegative, got {seed!r}")
-    return np.atleast_1d(keys).astype(np.uint64)
+    return np.atleast_1d(require("seed", keys, 0)).astype(np.uint64)
 
 
 def _identities(lead: tuple, n: int) -> np.ndarray:
@@ -302,15 +324,16 @@ def random_gaussian_state(n: int, seed, nu_max: float = 10.0,
     gamma = S diag(nu_1, nu_1, ..., nu_n, nu_n) S^T with the nu_k drawn
     log-uniformly from [1, nu_max] and S a product of random per-mode
     rotations, squeezers (|r| <= r_max) and adjacent mode mixers; each
-    state takes 5n - 1 uniforms, 4n - 1 when nu_max == 1.
+    state takes 5n - 1 uniforms, 4n - 1 when nu_max == 1.  nu_max must be
+    finite and r_max at most LOG_FLOAT_MAX, so that e^r is a float.
 
     seed is either a numpy Generator, whose next uniforms give one state,
     or SeedSequence entropy: an int gives the state of default_rng(seed),
     and an integer array of shape (..., L) a stack of shape (...) whose
     state i is that of default_rng(seed[i]), all drawn in one array pass.
     """
-    if nu_max < 1.0 or r_max < 0.0:
-        raise DomainError("need nu_max >= 1 and r_max >= 0")
+    require("nu_max", nu_max, 1.0)
+    require("r_max", r_max, 0.0, LOG_FLOAT_MAX)
     k = 5 * n - 1 if nu_max > 1.0 else 4 * n - 1
     if isinstance(seed, np.random.Generator):
         u = seed.random(k)

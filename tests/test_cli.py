@@ -1,13 +1,16 @@
 import csv
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 
 import numpy as np
 import pytest
 
-from qepi import fock, symplectic
+import qepi
+from qepi import cli, fisher, fock, inequalities, symplectic
 from qepi.broadcast import capacity_region
 from qepi.cli import main
 from qepi.inequalities import delta_surface, moe_bound, moe_conjectured
@@ -212,3 +215,102 @@ def test_figures_csv_bytes_match_csv_writer(tmp_path):
         rows.append([f"{pt.beta:.10g}", f"{pt.R_B:.12g}", f"{pt.R_C_conjectured:.12g}",
                      f"{pt.R_C_qepi:.12g}", int(pt.feasible)])
     assert (tmp_path / "region.csv").read_bytes() == _csv_writer_bytes(rows)
+
+
+@pytest.mark.parametrize("command, name", [
+    ("verify --nu-max nan", "nu_max"),
+    ("verify --nu-max inf", "nu_max"),
+    ("verify --r-max nan", "r_max"),
+    ("verify --r-max inf", "r_max"),
+    ("verify --r-max 1e3", "r_max"),
+    ("verify --trials 0", "trials"),
+    ("figures --n-bar nan", "n_bar"),
+    ("figures --lambda nan", "transmissivity"),
+    ("oracle --cutoff 0", "cutoff")])
+def test_bad_argument_is_one_usage_error_line(command, name, tmp_path, capsys):
+    argv = command.split()
+    if argv[0] == "verify":
+        argv[1:1] = ["--trials", "3"]
+    if argv[0] == "figures":
+        argv += ["--out", str(tmp_path / "figs")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"usage error: {name} must be ")
+    assert captured.out == ""
+    # the arguments are checked before any file is written
+    assert not (tmp_path / "figs").exists()
+
+
+def test_verify_largest_seed_is_valid():
+    # compared as an integer: as a float, 2**64 - 1 rounds to 2**64
+    assert main(["verify", "--trials", "3", "--seed", str(2 ** 64 - 1)]) == 0
+
+
+@pytest.mark.parametrize("channel", ["--kappa 2", "--lambda 0.5"])
+def test_verify_stam_divergence_is_numerical_failure(channel, capsys):
+    # at nu_max = 1e12 the finite-difference Fisher route reads J <= 0
+    assert main(["verify", "--stam", "--nu-max", "1e12", "--trials", "200"]
+                + channel.split()) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
+
+def _raise(error):
+    def failing(*args, **kwargs):
+        raise error("forced failure")
+    return failing
+
+
+# the error families and their exit codes, as the README tabulates them
+FAMILIES = {fock.CutoffError: (3, "infeasible: "),
+            symplectic.ValidationError: (1, "numerical failure: "),
+            symplectic.NumericError: (1, "numerical failure: "),
+            symplectic.DomainError: (2, "usage error: ")}
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (symplectic.ValidationError, 1, "numerical failure: "),
+    (symplectic.NumericError, 1, "numerical failure: "),
+    (fock.AccuracyError, 1, "numerical failure: "),
+    (fisher.DivergenceError, 1, "numerical failure: "),
+    (inequalities.IntegrationError, 1, "numerical failure: "),
+    (fock.CutoffError, 3, "infeasible: "),
+    (symplectic.DomainError, 2, "usage error: "),
+    (OSError, 1, "I/O error: ")])
+def test_main_maps_each_error_family(error, code, prefix, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "random_qepi_suite", _raise(error))
+    assert main(["verify", "--trials", "5"]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix) and "forced failure" in err[0]
+
+
+def test_main_propagates_errors_of_no_family(monkeypatch):
+    monkeypatch.setattr(cli, "random_qepi_suite", _raise(ValueError))
+    with pytest.raises(ValueError, match="forced failure"):
+        main(["verify", "--trials", "5"])
+
+
+def _qepi_error_classes():
+    found = set()
+    for info in pkgutil.iter_modules(qepi.__path__):
+        module = importlib.import_module(f"qepi.{info.name}")
+        found |= {obj for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == module.__name__}
+    return found
+
+
+def test_every_qepi_error_has_one_exit_family(monkeypatch, capsys):
+    # a new error class outside every family would leave main as a traceback
+    classes = _qepi_error_classes()
+    assert {fock.AccuracyError, fisher.DivergenceError,
+            inequalities.IntegrationError} | set(FAMILIES) <= classes
+    assert fock.NumericError is symplectic.NumericError
+    for error in classes:
+        families = [family for family in FAMILIES if issubclass(error, family)]
+        assert len(families) == 1, (error, families)
+        code, prefix = FAMILIES[families[0]]
+        monkeypatch.setattr(cli, "random_qepi_suite", _raise(error))
+        assert main(["verify", "--trials", "5"]) == code, error
+        assert capsys.readouterr().err.startswith(prefix)

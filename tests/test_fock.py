@@ -37,11 +37,17 @@ def test_thermal_state_entropy():
         fock.thermal_state(2.0, 8)
 
 
-def test_vacuum_at_cutoff_zero_is_cutoff_error():
+def test_cutoff_below_one_is_domain_error():
+    # a cutoff below 1 is a bad argument (exit 2), not an infeasible one (exit 3)
+    for make in (fock.vacuum_state, lambda dim: fock.fock_state(0, dim),
+                 lambda dim: fock.thermal_state(0.0, dim),
+                 lambda dim: fock.thermal_state(1.0, dim),
+                 lambda dim: fock.coherent_state(0.5, dim)):
+        for dim in (0, -3):
+            with pytest.raises(DomainError, match="^cutoff must be >= 1"):
+                make(dim)
     with pytest.raises(fock.CutoffError):
-        fock.vacuum_state(0)
-    with pytest.raises(fock.CutoffError):
-        fock.thermal_state(0.0, 0)
+        fock.fock_state(3, 3)
 
 
 def test_coherent_state():

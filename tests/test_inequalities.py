@@ -114,7 +114,7 @@ def test_moe_frozen_values():
     assert moe_conjectured(1.0, lams)[1] == pytest.approx(MOE_CONJ_1_HALF, abs=1e-12)
     assert moe_bound(1.0, lams)[1] == pytest.approx(MOE_BOUND_1_HALF, abs=1e-12)
     for s_bar, lam in ((1.0, np.array([0.5, 1.5])), (np.array([1.0, -0.1]), 0.5),
-                       (1.0, float("nan"))):
+                       (1.0, float("nan")), (float("nan"), 0.5)):
         for f in (moe_bound, moe_conjectured, moe_delta):
             with pytest.raises(DomainError):
                 f(s_bar, lam)
@@ -341,6 +341,16 @@ def test_suite_counts_stam_skips(params):
     summary = random_qepi_suite(trials, seed, params, nu_max=nu_max, with_stam=True)
     assert 0 < want < trials
     assert summary.stam_skipped == want
+    assert summary.failures == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the forward-difference Gaussian Fisher route (h = 1e-3) loses relative "
+    "accuracy as nu grows: trial 699 reads a Stam slack of -0.106 where the "
+    "closed form ln((nu+1)/(nu-1)) tr(gamma)/nu gives +0.093; ROADMAP item 1"))
+def test_suite_stam_large_nu_no_false_violation():
+    summary = random_qepi_suite(2000, 0, MixingParams.amplifier(2.0), nu_max=1e5,
+                                with_stam=True)
     assert summary.failures == []
 
 
