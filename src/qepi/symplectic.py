@@ -137,12 +137,18 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
     no covariance matrix and raises ValidationError.  Symmetry is checked
     only by a validating GaussianState; states built with validate=False
     are trusted to be symmetric.
+
+    For n = 1, L^T (Omega L) = [[0, l00 l11], [-l00 l11, 0]] exactly, and
+    eigvalsh returns +-l00 l11 for it without rounding, so nu is the
+    product of the factor's diagonal, bit-identical and with no eigensolve.
     """
     _require_finite(state.gamma)
     try:
         chol = np.linalg.cholesky(state.gamma)
     except np.linalg.LinAlgError:
         raise ValidationError("covariance matrix is not positive definite") from None
+    if state.n == 1:
+        return chol[..., :1, 0] * chol[..., 1:, 1]
     omega_chol = np.empty_like(chol)
     omega_chol[..., 0::2, :] = chol[..., 1::2, :]
     omega_chol[..., 1::2, :] = -chol[..., 0::2, :]
@@ -152,18 +158,20 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
 def g(mean_photons) -> float:
     """Entropy in nats of a thermal mode with the given mean photon number."""
     N = require("mean photon number", np.asarray(mean_photons, dtype=float), 0)
-    # (N+1)ln(N+1) - N ln N rewritten as ln(N+1) + N ln(1 + 1/N); the naive
-    # form loses all precision to cancellation for large N
-    flat = np.atleast_1d(N).astype(float)
-    out = np.zeros_like(flat)
-    # ln(1 + 1/N) is safe down to normal floats; below that, 1/N overflows,
-    # so use the tiny-N expansion N(1 - ln N) instead
-    tiny = (flat > 0) & (flat < 1e-290)
-    out[tiny] = flat[tiny] * (1.0 - np.log(flat[tiny]))
-    pos = flat >= 1e-290
-    out[pos] = np.log1p(flat[pos]) + flat[pos] * np.log1p(1.0 / flat[pos])
-    out = out.reshape(np.shape(N))
+    out = _g(N)
     return float(out) if out.ndim == 0 else out
+
+
+def _g(N: np.ndarray) -> np.ndarray:
+    """g on a float array N >= 0, unchecked: both branches, picked per element."""
+    # (N+1)ln(N+1) - N ln N rewritten as ln(N+1) + N ln(1 + 1/N); the naive
+    # form loses all precision to cancellation for large N.  ln(1 + 1/N) is
+    # safe down to normal floats; below that, 1/N overflows, so use the
+    # tiny-N expansion N(1 - ln N) instead.  At N = 0 both branches are NaN.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        large = np.log1p(N) + N * np.log1p(1.0 / N)
+        tiny = N * (1.0 - np.log(N))
+    return np.where(N >= 1e-290, large, np.where(N > 0.0, tiny, 0.0))
 
 
 # g of the largest float; every finite entropy up to it has a finite inverse
@@ -177,6 +185,7 @@ def g_inv(entropy_nats) -> float:
     Safeguarded Newton on g(N) = S, applied to every element at once.  g is
     concave and increasing, so an iterate below the root never overshoots
     it; a step that would land at N <= 0 divides the iterate by 10 instead.
+    Every iterate is >= 0, so the loop calls the unchecked _g.
     """
     # -0.0 + 0.0 is 0.0, so a signed zero takes the path whose root is exactly 0
     s = require("entropy", np.asarray(entropy_nats, dtype=float) + 0.0, 0, G_MAX)
@@ -190,7 +199,7 @@ def g_inv(entropy_nats) -> float:
         tol = 1e-15 * np.maximum(1.0, s)
         active = np.ones(s.shape, dtype=bool)
         for _ in range(_G_INV_MAX_ITER):
-            new = x - (g(x) - s) / np.log1p(1.0 / x)
+            new = x - (_g(x) - s) / np.log1p(1.0 / x)
             new = np.where(new > 0.0, new, x / 10.0)
             converged = np.abs(new - x) <= tol * new
             x = np.where(active, new, x)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -6,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qepi import symplectic
+from qepi.channels import MixingParams
+from qepi.inequalities import random_qepi_suite
 from qepi.symplectic import (G_MAX, PHYSICALITY_TOL, DomainError, GaussianState,
                              ValidationError,
                              delta, entropy, entropy_power, g, g_inv, photon_number,
@@ -218,6 +222,58 @@ def test_spectrum_kernel_refuses_non_covariance_input(n):
             symplectic_eigenvalues(GaussianState(n, np.stack([good, bad]), validate=False))
 
 
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Count the calls of np.linalg.eigvalsh; the list holds one entry per call."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n, eigensolves", [(1, 0), (2, 1)])
+def test_spectrum_eigensolves_only_from_two_modes(eigvalsh_calls, n, eigensolves):
+    stack = _seeded_stack(n, 64, nu_max=10.0, r_max=1.0)
+    one = GaussianState(n, stack.gamma[0], validate=False)
+    for call in (lambda: symplectic_eigenvalues(one),
+                 lambda: symplectic_eigenvalues(stack),
+                 lambda: GaussianState(n, stack.gamma),
+                 lambda: entropy(stack)):
+        eigvalsh_calls.clear()
+        call()
+        assert len(eigvalsh_calls) == eigensolves
+
+
+def test_one_mode_suite_makes_no_eigensolve(eigvalsh_calls):
+    summary = random_qepi_suite(300, 3, MixingParams.amplifier(2.0), with_stam=True)
+    assert summary.stam_skipped < 300
+    assert eigvalsh_calls == []
+
+
+@pytest.mark.parametrize("r_max", [5.0, 8.0])
+@pytest.mark.parametrize("nu_max", [1.0, 10.0, 1e6])
+def test_one_mode_spectrum_is_the_triple_product_under_strong_squeezing(r_max, nu_max):
+    gammas = _seeded_stack(1, 3000, nu_max=nu_max, r_max=r_max).gamma
+    nus = symplectic_eigenvalues(GaussianState(1, gammas, validate=False))
+    assert nus.shape == (3000, 1)
+    assert np.array_equal(nus, _triple_product_spectrum(gammas, 1))
+
+
+def test_one_mode_spectrum_refuses_a_non_positive_definite_member():
+    good = _seeded_stack(1, 4, nu_max=10.0, r_max=1.0).gamma
+    for bad in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], np.diag([3.0, 0.0])):
+        gammas = np.concatenate([good, [bad]])
+        with pytest.raises(ValidationError, match="not positive definite"):
+            symplectic_eigenvalues(GaussianState(1, gammas, validate=False))
+        with pytest.raises(ValidationError, match="not positive definite"):
+            GaussianState(1, gammas)
+
+
 def test_spectrum_entropy_is_entropy_of_the_spectrum():
     stack = _seeded_stack(2, 50, nu_max=10.0, r_max=1.0)
     nus = symplectic_eigenvalues(stack)
@@ -279,3 +335,52 @@ def test_random_states_always_physical():
     for seed in range(200):
         state = random_gaussian_state(1, seed, nu_max=20.0, r_max=1.5)
         assert symplectic_eigenvalues(state)[0] >= 1.0 - PHYSICALITY_TOL
+
+
+def _masked_g(mean_photons):
+    """g as written before its two branches were picked by np.where."""
+    N = np.asarray(mean_photons, dtype=float)
+    flat = np.atleast_1d(N).astype(float)
+    out = np.zeros_like(flat)
+    tiny = (flat > 0) & (flat < 1e-290)
+    out[tiny] = flat[tiny] * (1.0 - np.log(flat[tiny]))
+    pos = flat >= 1e-290
+    out[pos] = np.log1p(flat[pos]) + flat[pos] * np.log1p(1.0 / flat[pos])
+    out = out.reshape(np.shape(N))
+    return float(out) if out.ndim == 0 else out
+
+
+def _bit_identical(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+G_EDGE_VALUES = np.array([0.0, -0.0, 5e-324, 1e-310, np.nextafter(1e-290, 0.0), 1e-290,
+                          np.nextafter(1e-290, 1.0), 1e-16, 0.5, 1.0, 1e10, 1e300,
+                          np.finfo(float).max, G_MAX])
+
+
+def test_g_bit_identical_to_the_masked_form():
+    sample = np.exp(np.random.default_rng(16).uniform(
+        math.log(1e-320), math.log(1e308), 10 ** 5))
+    for values in (G_EDGE_VALUES, sample, sample.reshape(100, 1000)):
+        assert _bit_identical(g(values), _masked_g(values))
+    for value in G_EDGE_VALUES:
+        assert isinstance(g(value), float)
+        assert _bit_identical(g(value), _masked_g(value))
+
+
+def test_g_inv_edge_values_warn_not_and_skip_g(monkeypatch):
+    calls = []
+    monkeypatch.setattr(symplectic, "g", lambda x: calls.append(x) or _masked_g(x))
+    edges = [0.0, -0.0, 5e-324, G_MAX]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [g_inv(s) for s in edges] + list(g_inv(np.array(edges)))
+    assert got[:4] == got[4:]
+    assert got[0] == got[1] == 0.0 and math.copysign(1.0, got[1]) == 1.0
+    # the root for the smallest subnormal entropy, about 7e-327, rounds to 0
+    assert got[2] == 0.0 and got[3] == pytest.approx(np.finfo(float).max, rel=1e-12)
+    # the Newton iterates are nonnegative by construction, so g_inv never
+    # calls the checked g
+    assert calls == []
