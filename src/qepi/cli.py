@@ -20,8 +20,8 @@ import numpy as np
 from . import broadcast, fock
 from .channels import MixingParams
 from .files import atomic_write, csv_text
-from .inequalities import delta_surface, delta_surface_max, moe_bound, \
-    moe_conjectured, random_qepi_suite, ratio_trajectory
+from .inequalities import TRAJECTORY_T_MAX, delta_surface, delta_surface_max, \
+    moe_bound, moe_conjectured, random_qepi_suite, ratio_trajectory
 from .symplectic import DomainError, GaussianState, NumericError, ValidationError, g
 
 ORACLE_TOLERANCE = 1e-5
@@ -78,7 +78,7 @@ def cmd_figures(args) -> int:
 
     broadcast.write_region_csv(os.path.join(args.out, "region.csv"), points)
 
-    mx, s_at, lam_at = delta_surface_max()
+    mx, s_at, lam_at = delta_surface_max(s_grid, lam_grid, surface=surface)
     print(f"delta surface max {mx:.6f} at S_bar={s_at:.4f} lambda={lam_at:.6f}")
     print(f"wrote delta_surface.csv, moe_bounds.csv, region.csv to {args.out}")
     return 0
@@ -167,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_traj = sub.add_parser("trajectory",
                             help="print the monotone proof trajectory of two instances")
-    p_traj.add_argument("--t-max", type=float, default=200.0)
+    p_traj.add_argument("--t-max", type=float, default=200.0,
+                        help=f"end time, in (0, {TRAJECTORY_T_MAX:g}] (default 200)")
     p_traj.set_defaults(func=cmd_trajectory)
 
     return parser

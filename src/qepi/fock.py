@@ -6,6 +6,10 @@ inputs (Fock states) become available.  The channel kernels use the
 photon-number structure that survives truncation: the mixing unitaries
 conserve n_A + n_B (beam splitter) or n_A - n_B (amplifier), and the
 additive-noise generator maps each diagonal band of rho to itself.
+
+scipy is imported inside the functions that use it, so importing this
+module (and with it qepi and qepi.cli) loads no scipy: the Gaussian
+commands never pay its start-up.
 """
 
 from __future__ import annotations
@@ -15,10 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.blas import zherk
-from scipy.special import gammaln, xlogy
 
 from .channels import BEAM_SPLITTER, MixingParams
 from .symplectic import DomainError, NumericError, require
@@ -115,6 +116,7 @@ def thermal_state(mean_photons: float, dim: int) -> FockDensityMatrix:
 def coherent_state(alpha: complex, dim: int) -> FockDensityMatrix:
     require("cutoff", dim, 1)
     require("|alpha|", abs(alpha), 0.0)
+    from scipy.special import gammaln
     n = np.arange(dim)
     log_amp = n * np.log(np.abs(alpha)) if alpha != 0 else np.where(n == 0, 0.0, -np.inf)
     amps = np.exp(-0.5 * abs(alpha) ** 2 + log_amp - 0.5 * gammaln(n + 1.0))
@@ -130,6 +132,7 @@ def coherent_state(alpha: complex, dim: int) -> FockDensityMatrix:
 def squeezed_thermal_state(r: float, mean_photons: float, dim: int) -> FockDensityMatrix:
     """Single-mode squeezer applied to a thermal state."""
     require("r", r)
+    import scipy.linalg as sla
     base = thermal_state(mean_photons, dim)
     a = ladder(dim)
     squeezer = sla.expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
@@ -188,6 +191,7 @@ class _Sectors:
                 n_a = np.arange(max(0, diff), min(dim, dim + diff))
                 n_b = n_a - diff
             off = self.angle * np.sqrt(n_a[1:] * np.maximum(n_b[:-1], n_b[1:]))
+            import scipy.linalg as sla
             u = sla.expm(np.diag(off, -1) - np.diag(off, 1))
             for array in (n_a, n_b, u):
                 array.flags.writeable = False
@@ -244,6 +248,7 @@ def _mix_components(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
     2 dim at a time, so each sector is a contiguous row slice rotated by its
     block; zherk then contracts them.  Cost rank_A rank_B dim^3.
     """
+    from scipy.linalg.blas import zherk
     dim = rho_a.dim
     n_a, n_b = np.divmod(np.arange(dim * dim), dim)
     charge = sectors.charge(n_a, n_b)
@@ -384,11 +389,21 @@ def _clean_spectrum(evs: np.ndarray, what: str) -> np.ndarray:
     return np.maximum(evs, 0.0)
 
 
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """The terms x ln x of an entropy sum: 0.0 where x <= 0, NaN where x is NaN.
+
+    math.log is libm's log, as in scipy.special.xlogy(x, x), so on x >= 0
+    the terms carry the same bits; numpy's own log differs from it in the
+    last bit.
+    """
+    return np.array([0.0 if v <= 0.0 else v * math.log(v) for v in x.tolist()])
+
+
 def vn_entropy(rho: FockDensityMatrix) -> float:
     """-Tr[rho ln rho] in nats."""
     evs = _clean_spectrum(np.linalg.eigvalsh(rho.rho), "vn_entropy")
     # 0.0 - 0.0 is 0.0 where -0.0 would be a pure state's negated sum
-    return 0.0 - float(np.sum(xlogy(evs, evs)))
+    return 0.0 - float(np.sum(_xlogx(evs)))
 
 
 def relative_entropy(rho: FockDensityMatrix, sigma: FockDensityMatrix) -> float:
@@ -405,7 +420,7 @@ def relative_entropy(rho: FockDensityMatrix, sigma: FockDensityMatrix) -> float:
         return float("inf")
     supp = ~null
     cross = float(p @ (overlap[:, supp] @ np.log(q[supp])))
-    return float(np.sum(xlogy(p, p))) - cross
+    return float(np.sum(_xlogx(p))) - cross
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +446,7 @@ def liouville_evolve(rho: FockDensityMatrix, t: float) -> FockDensityMatrix:
     require("evolution time", t, 0.0)
     if t == 0:
         return rho
+    import scipy.linalg as sla
     dim = rho.dim
     m = np.arange(dim)
     c = 2.0 * m + 1.0
@@ -458,6 +474,7 @@ def displace_fock(rho: FockDensityMatrix, direction: str,
     if direction not in ("q", "p"):
         raise DomainError(f"direction must be 'q' or 'p', got {direction!r}")
     require("theta", theta)
+    import scipy.linalg as sla
     q1, p1 = quadratures(rho.dim)
     gen = -1j * theta * p1 if direction == "q" else 1j * theta * q1
     u = sla.expm(gen)

@@ -195,7 +195,7 @@ def _zoom_max(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def delta_surface_max(s_grid=None, lam_grid=None):
+def delta_surface_max(s_grid=None, lam_grid=None, *, surface=None):
     """Grid maximum of the gap surface, refined by coordinate ascent.
 
     Starts at the grid argmax and makes four rounds of maximising over lam
@@ -203,9 +203,12 @@ def delta_surface_max(s_grid=None, lam_grid=None):
     the argmax's grid neighbours.  The result is that coordinate-ascent
     point, neither the maximum over the box (the surface still rises
     along the ridge lam ~ e^{-S_bar} to the box edge) nor the supremum
-    (see delta_surface_sup).  Returns (max_delta, s_bar_at_max, lam_at_max).
+    (see delta_surface_sup).  A caller that holds delta_surface's
+    (s_grid, lam_grid, surface) passes all three, and the surface is not
+    computed again.  Returns (max_delta, s_bar_at_max, lam_at_max).
     """
-    s_grid, lam_grid, surface = delta_surface(s_grid, lam_grid)
+    if surface is None:
+        s_grid, lam_grid, surface = delta_surface(s_grid, lam_grid)
     i, j = np.unravel_index(int(np.argmax(surface)), surface.shape)
     s_best, lam_best = float(s_grid[i]), float(lam_grid[j])
     s_lo = float(s_grid[max(i - 1, 0)])
@@ -237,6 +240,10 @@ def delta_surface_sup() -> float:
 # DOP853 tolerances of the trajectory solve, on u_X = ln(1 + t_X)
 TRAJECTORY_RTOL = 1e-10
 TRAJECTORY_ATOL = 1e-12
+# largest t_max: t_X grows like e^{e t / 2} and overflows float64 (e^709.78)
+# near t = 522 for the two instances of `qepi trajectory`; the cap also
+# bounds the record grid, which holds about t_max points
+TRAJECTORY_T_MAX = 500.0
 
 
 class IntegrationError(NumericError):
@@ -276,8 +283,10 @@ def ratio_trajectory(a: GaussianState, b: GaussianState, p: MixingParams,
     One DOP853 solve with step-size control on u_X = ln(1 + t_X), whose rate
     e^{S_X/n - u_X} stays bounded while t_X grows like e^{e t / 2}, recorded
     at step 0.01 up to t = 10 and step 1 beyond; a failure raises IntegrationError.
+    t_max must lie in (0, TRAJECTORY_T_MAX].
     """
-    require("t_max", t_max, 0.0, low_open=True)
+    require("t_max", t_max, 0.0, low_open=True)      # names NaN and inf as not finite
+    require("t_max", t_max, 0.0, TRAJECTORY_T_MAX, low_open=True)
     # scipy.integrate costs about 0.2 s to import; only this function needs it
     from scipy.integrate import solve_ivp
 

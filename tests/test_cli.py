@@ -5,6 +5,9 @@ import json
 import math
 import os
 import pkgutil
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +187,60 @@ def test_trajectory_non_finite_t_max_usage_error(t_max, capsys):
     assert main(["trajectory", "--t-max", t_max]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: t_max must be finite and positive")
+
+
+@pytest.mark.parametrize("t_max", ["530", "1e12"])
+def test_trajectory_t_max_above_cap_usage_error(t_max, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["trajectory", "--t-max", t_max]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: t_max must be in (0.0, 500.0]")
+    assert captured.out == ""
+
+
+def test_figures_computes_the_gap_surface_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return delta_surface(*args, **kwargs)
+    monkeypatch.setattr(cli, "delta_surface", counted)
+    monkeypatch.setattr(inequalities, "delta_surface", counted)
+    assert main(["figures", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+# runs in a fresh interpreter, so no other test has imported scipy yet
+SCIPY_PROBE = """
+import sys
+import qepi, qepi.cli as cli
+
+def loaded():
+    return [m for m in ("scipy.linalg", "scipy.special", "scipy.integrate")
+            if m in sys.modules]
+
+assert cli.main(["verify", "--trials", "50", "--kappa", "2", "--stam"]) == 0
+assert cli.main(["figures", "--out", sys.argv[1]]) == 0
+print("gaussian", loaded())
+assert cli.main(["oracle", "--cutoff", "30"]) == 0
+print("oracle", loaded())
+"""
+
+
+def test_gaussian_commands_load_no_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(qepi.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-W", "error", "-c", SCIPY_PROBE, str(tmp_path)],
+                         capture_output=True, text=True, check=True, env=env)
+    probes = dict(line.split(" ", 1) for line in out.stdout.splitlines()
+                  if line.startswith(("gaussian ", "oracle ")))
+    assert probes["gaussian"] == "[]"
+    # the oracle loads scipy.linalg, so the probe sees a loaded module
+    assert "'scipy.linalg'" in probes["oracle"]
+    assert "'scipy.special'" not in probes["oracle"]
 
 
 def _csv_writer_bytes(rows) -> bytes:

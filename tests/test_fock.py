@@ -131,6 +131,34 @@ def test_vn_entropy_maximally_mixed():
     assert fock.vn_entropy(rho) == pytest.approx(math.log(4.0), abs=1e-12)
 
 
+def test_xlogx_terms_match_scipy_xlogy_bitwise():
+    from scipy.special import xlogy
+    rng = np.random.default_rng(20141017)
+    x = np.concatenate([rng.random(50_000),
+                        np.exp(rng.uniform(math.log(5e-324), 0.0, 50_000)),
+                        np.zeros(8), [5e-324, 2.2e-308, 0.5, 1.0]])
+    assert np.array_equal(fock._xlogx(x), xlogy(x, x))
+    assert np.isnan(fock._xlogx(np.array([0.5, np.nan]))[1])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fock.thermal_state(1.0, 30),
+    lambda: fock.coherent_state(0.8 + 0.3j, 30),
+    lambda: fock.squeezed_thermal_state(0.4, 0.5, 40),
+    lambda: fock.fock_state(3, 10),
+    lambda: fock.two_mode_mix(fock.thermal_state(1.0, 30), fock.coherent_state(0.5, 30),
+                              MixingParams.beam_splitter(0.3))])
+def test_entropies_keep_the_bits_of_xlogy(make, monkeypatch):
+    from scipy.special import xlogy
+    rho = make()
+    evs = np.maximum(np.linalg.eigvalsh(rho.rho), 0.0)
+    assert fock.vn_entropy(rho) == 0.0 - float(np.sum(xlogy(evs, evs)))
+    sigma = fock.FockDensityMatrix(np.eye(rho.dim, dtype=complex) / rho.dim)
+    got = fock.relative_entropy(rho, sigma)
+    monkeypatch.setattr(fock, "_xlogx", lambda x: xlogy(x, x))
+    assert got == fock.relative_entropy(rho, sigma)
+
+
 def test_relative_entropy_cases():
     thermal = fock.thermal_state(1.0, 30)
     assert fock.relative_entropy(thermal, thermal) == pytest.approx(0.0, abs=1e-10)

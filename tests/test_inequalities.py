@@ -1,6 +1,4 @@
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -158,6 +156,11 @@ def test_delta_surface_max_refines_grid():
     assert moe_delta(s_at, lam_at) == pytest.approx(best, abs=1e-12)
 
 
+def test_delta_surface_max_takes_a_computed_surface():
+    s_grid, lam_grid, surface = delta_surface()
+    assert delta_surface_max(s_grid, lam_grid, surface=surface) == delta_surface_max()
+
+
 # delta_surface_max() as the golden-section refinement returned it; the
 # zooming refinement agrees to about 1e-10 in the maximum and 1e-7 in S_bar
 GOLDEN_SECTION_MAX = (0.10611891641436838, 5.046013378393937, 0.00419895428292098)
@@ -258,6 +261,17 @@ def test_ratio_trajectory_record_grid(t_max, size):
     assert np.allclose(np.diff(t[t <= min(t_max, 10.0)])[:-1], 0.01, rtol=0, atol=1e-12)
 
 
+def test_ratio_trajectory_runs_up_to_its_cap():
+    traj = ratio_trajectory(GaussianState.vacuum(), GaussianState.vacuum(),
+                            MixingParams.amplifier(2.0), t_max=inequalities.TRAJECTORY_T_MAX)
+    assert traj.t[-1] == inequalities.TRAJECTORY_T_MAX
+    assert np.isfinite(traj.t_C).all() and np.isfinite(traj.ratio).all()
+    with pytest.raises(DomainError, match="t_max must be in"):
+        ratio_trajectory(GaussianState.vacuum(), GaussianState.vacuum(),
+                         MixingParams.amplifier(2.0),
+                         t_max=math.nextafter(inequalities.TRAJECTORY_T_MAX, math.inf))
+
+
 def test_ratio_trajectory_failed_solve_raises(monkeypatch):
     import scipy.integrate
 
@@ -267,13 +281,6 @@ def test_ratio_trajectory_failed_solve_raises(monkeypatch):
     with pytest.raises(inequalities.IntegrationError, match="step size too small"):
         ratio_trajectory(GaussianState.vacuum(), GaussianState.vacuum(),
                          MixingParams.beam_splitter(0.5), t_max=1.0)
-
-
-def test_import_leaves_scipy_integrate_out():
-    code = "import sys, qepi, qepi.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "False"
 
 
 def test_asymptotic_vacuum():
