@@ -1,18 +1,15 @@
-"""Gaussian channels: beam splitter, amplifier, additive noise, displacements.
+"""Gaussian channels: beam splitter, amplifier and additive noise.
 
-Covariance/displacement action:
+Covariance action:
     beam splitter:  gamma_C = lam_A gamma_A + lam_B gamma_B,
-                    d_C = sqrt(lam_A) d_A + sqrt(lam_B) d_B,
                     with lam_A = lambda, lam_B = 1 - lambda;
     amplifier:      gamma_C = lam_A gamma_A + lam_B T gamma_B T,
-                    d_C = sqrt(lam_A) d_A + sqrt(lam_B) T d_B,
                     with lam_A = kappa, lam_B = kappa - 1,
 where T flips the sign of every P quadrature.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,45 +60,32 @@ def mix(a: GaussianState, b: GaussianState, p: MixingParams) -> GaussianState:
     if a.n != b.n:
         raise ValidationError(f"mode count mismatch: {a.n} vs {b.n}")
     if p.kind == BEAM_SPLITTER:
-        gamma_b, d_b = b.gamma, b.d
+        gamma_b = b.gamma
     else:
         t = time_reversal_matrix(b.n)
-        gamma_b, d_b = t @ b.gamma @ t, b.d @ t
-    gamma = p.lambda_A * a.gamma + p.lambda_B * gamma_b
-    d = math.sqrt(p.lambda_A) * a.d + math.sqrt(p.lambda_B) * d_b
-    return GaussianState(a.n, gamma, d, validate=False)
+        gamma_b = t @ b.gamma @ t
+    return GaussianState(a.n, p.lambda_A * a.gamma + p.lambda_B * gamma_b, validate=False)
 
 
 def add_noise(state: GaussianState, t) -> GaussianState:
-    """Additive Gaussian noise semigroup: gamma -> gamma + t*I, d unchanged.
+    """Additive Gaussian noise semigroup: gamma -> gamma + t*I.
 
     t may be an array of times; it broadcasts against the leading axes of
     the state, so an array of shape (k,) on one state gives k states.
     """
     t = require("noise time", np.asarray(t, dtype=float), 0.0)
     gamma = state.gamma + t[..., None, None] * np.eye(2 * state.n)
-    return GaussianState(state.n, gamma, np.broadcast_to(state.d, gamma.shape[:-1]),
-                         validate=False)
-
-
-def displace(state: GaussianState, index: int, amount: float) -> GaussianState:
-    """Shift the displacement along one quadrature axis; gamma unchanged."""
-    require("quadrature index", index, 0, 2 * state.n - 1)
-    require("amount", amount)
-    d = state.d.copy()
-    d[..., index] += amount
-    return GaussianState(state.n, state.gamma, d, validate=False)
+    return GaussianState(state.n, gamma, validate=False)
 
 
 def time_reverse(state: GaussianState) -> GaussianState:
     t = time_reversal_matrix(state.n)
-    return GaussianState(state.n, t @ state.gamma @ t, state.d @ t, validate=False)
+    return GaussianState(state.n, t @ state.gamma @ t, validate=False)
 
 
 @dataclass(frozen=True)
 class CommutationRecord:
     max_gamma_deviation: float
-    max_d_deviation: float
     t_C: float
     equal: bool
 
@@ -113,6 +97,5 @@ def noise_commutation_check(a: GaussianState, b: GaussianState, p: MixingParams,
     t_c = p.lambda_A * t_a + p.lambda_B * t_b
     lhs = mix(add_noise(a, t_a), add_noise(b, t_b), p)
     rhs = add_noise(mix(a, b, p), t_c)
-    dev_g = float(np.max(np.abs(lhs.gamma - rhs.gamma)))
-    dev_d = float(np.max(np.abs(lhs.d - rhs.d)))
-    return CommutationRecord(dev_g, dev_d, t_c, dev_g <= tol and dev_d <= tol)
+    dev = float(np.max(np.abs(lhs.gamma - rhs.gamma)))
+    return CommutationRecord(dev, t_c, dev <= tol)

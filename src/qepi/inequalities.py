@@ -1,9 +1,10 @@
 """Entropy inequalities as checkable predicates.
 
 Covers: the entropy power inequality for beam splitters and amplifiers,
-its linear corollaries, the photon-number gap bound, the minimum-output
-entropy bound and its gap surface, the monotone proof trajectory, the
-asymptotic entropy-power scaling, and a randomized verification harness.
+its linear corollaries, the photon-number gap bound, Stam's inequality,
+the weighted Fisher information inequality, the minimum-output entropy
+bound and its gap surface, the monotone proof trajectory, the asymptotic
+entropy-power scaling, and a randomized verification harness.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import symplectic
-from .channels import AMPLIFIER, BEAM_SPLITTER, MixingParams, add_noise, mix
-from .fisher import fisher_total_gaussian, spectrum_full_rank, stam_check
+from .channels import BEAM_SPLITTER, MixingParams, add_noise, mix
+from .fisher import DivergenceError, fisher_total_gaussian, spectrum_full_rank
 from .symplectic import (GaussianState, NumericError, entropy, g, g_inv,
                          random_gaussian_state, require, spectrum_entropy)
 
@@ -133,6 +134,42 @@ def amplifier_photon_gap(n_a, n_b, n_c, gain: float):
     Photon numbers may be arrays.
     """
     return n_c - gain * n_a - (gain - 1.0) * (n_b + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Fisher information inequalities
+
+def stam_check(j_a, j_b, j_c, p: MixingParams,
+               tol: float = GAUSSIAN_SLACK_TOL) -> InequalityReport:
+    """1/J_C >= lam_A/J_A + lam_B/J_B; arrays give an array-valued report."""
+    ja, jb, jc = (np.asarray(j, dtype=float) for j in (j_a, j_b, j_c))
+    if np.any(np.minimum(np.minimum(ja, jb), jc) <= 0):
+        raise DivergenceError("Stam check needs strictly positive Fisher informations")
+    lhs = 1.0 / jc
+    rhs = p.lambda_A / ja + p.lambda_B / jb
+    return InequalityReport.build("stam", lhs, rhs, tol=tol,
+                                  inputs={"J_A": j_a, "J_B": j_b, "J_C": j_c,
+                                          "kind": p.kind, "lambda_A": p.lambda_A})
+
+
+def weighted_fisher_check(j_a: float, j_b: float, j_c: float,
+                          w_a: float, w_b: float, p: MixingParams,
+                          tol: float = GAUSSIAN_SLACK_TOL) -> InequalityReport:
+    """w_C^2 J_C <= w_A^2 J_A + w_B^2 J_B with w_C = sqrt(lam_A) w_A + sqrt(lam_B) w_B."""
+    if min(j_a, j_b, j_c) <= 0:
+        raise DivergenceError("weighted Fisher check needs positive Fisher informations")
+    w_c = math.sqrt(p.lambda_A) * w_a + math.sqrt(p.lambda_B) * w_b
+    lhs = w_a ** 2 * j_a + w_b ** 2 * j_b
+    rhs = w_c ** 2 * j_c
+    return InequalityReport.build("weighted_fisher", lhs, rhs, tol=tol,
+                                  inputs={"J_A": j_a, "J_B": j_b, "J_C": j_c,
+                                          "w_A": w_a, "w_B": w_b, "w_C": w_c,
+                                          "kind": p.kind, "lambda_A": p.lambda_A})
+
+
+def optimal_weights(j_a: float, j_b: float, p: MixingParams) -> tuple[float, float]:
+    """Cauchy-Schwarz-optimal weights reducing the weighted check to Stam."""
+    return math.sqrt(p.lambda_A) / j_a, math.sqrt(p.lambda_B) / j_b
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +319,9 @@ def ratio_trajectory(a: GaussianState, b: GaussianState, p: MixingParams,
 
     One DOP853 solve with step-size control on u_X = ln(1 + t_X), whose rate
     e^{S_X/n - u_X} stays bounded while t_X grows like e^{e t / 2}, recorded
-    at step 0.01 up to t = 10 and step 1 beyond; a failure raises IntegrationError.
-    t_max must lie in (0, TRAJECTORY_T_MAX].
+    at step 0.01 up to t = 10 and step 1 beyond; a failure raises
+    IntegrationError, and so does a t_X or an entropy power that overflows
+    float64 before t_max.  t_max must lie in (0, TRAJECTORY_T_MAX].
     """
     require("t_max", t_max, 0.0, low_open=True)      # names NaN and inf as not finite
     require("t_max", t_max, 0.0, TRAJECTORY_T_MAX, low_open=True)
@@ -300,15 +338,24 @@ def ratio_trajectory(a: GaussianState, b: GaussianState, p: MixingParams,
         return np.exp(entropy(noisy) / n - u)
 
     t = _record_times(t_max)
-    sol = solve_ivp(rate, (0.0, t_max), np.zeros(2), method="DOP853", t_eval=t,
-                    rtol=TRAJECTORY_RTOL, atol=TRAJECTORY_ATOL)
-    if not sol.success:
-        raise IntegrationError(sol.message)
-    t_a, t_b = np.expm1(sol.y)
-    t_c = p.lambda_A * t_a + p.lambda_B * t_b
-    noise = np.stack([t_a, t_b, t_c])[..., None, None] * eye
-    s_a, s_b, s_c = entropy(GaussianState(n, gamma0[:, None] + noise, validate=False))
-    ratio = (p.lambda_A * np.exp(s_a / n) + p.lambda_B * np.exp(s_b / n)) / np.exp(s_c / n)
+    # for inputs of large entropy a t_X, or its entropy power, leaves the
+    # floats before t_max: in the solve or in the records after it
+    try:
+        with np.errstate(over="raise"):
+            sol = solve_ivp(rate, (0.0, t_max), np.zeros(2), method="DOP853", t_eval=t,
+                            rtol=TRAJECTORY_RTOL, atol=TRAJECTORY_ATOL)
+            if not sol.success:
+                raise IntegrationError(sol.message)
+            t_a, t_b = np.expm1(sol.y)
+            t_c = p.lambda_A * t_a + p.lambda_B * t_b
+            noise = np.stack([t_a, t_b, t_c])[..., None, None] * eye
+            s_a, s_b, s_c = entropy(GaussianState(n, gamma0[:, None] + noise,
+                                                  validate=False))
+            ratio = ((p.lambda_A * np.exp(s_a / n) + p.lambda_B * np.exp(s_b / n))
+                     / np.exp(s_c / n))
+    except FloatingPointError as exc:
+        raise IntegrationError(f"trajectory leaves the floats before t = {t_max:g}: "
+                               f"{exc}") from None
     return Trajectory(t=t, t_A=t_a, t_B=t_b, t_C=t_c, S_A=s_a, S_B=s_b, S_C=s_c,
                       ratio=ratio)
 
@@ -453,7 +500,7 @@ def random_qepi_suite(trials: int, seed: int, p: MixingParams,
             stam_checked += rows.size
             if rows.size:
                 j_a, j_b, j_c = fisher_total_gaussian(GaussianState(
-                    1, abc.gamma[rows], validate=False)).total.T
+                    1, abc.gamma[rows], validate=False)).T
                 rep_s = stam_check(j_a, j_b, j_c, p)
                 checks.append((rep_s, idx[rows]))
                 mins["stam"].update(rep_s.slack, idx[rows])

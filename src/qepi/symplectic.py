@@ -73,25 +73,22 @@ def symplectic_form(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """n-mode Gaussian state: covariance matrix gamma and displacement d.
+    """n-mode Gaussian state, given by its covariance matrix gamma.
 
-    gamma has shape (..., 2n, 2n) and d shape (..., 2n): leading axes hold a
-    stack of states, and one state is the case with no leading axes.
+    gamma has shape (..., 2n, 2n): leading axes hold a stack of states, and
+    one state is the case with no leading axes.  Entropies and Fisher
+    informations are invariant under translations, so no displacement is
+    kept.
     """
 
     n: int
     gamma: np.ndarray
-    d: np.ndarray
 
-    def __init__(self, n: int, gamma, d=None, validate: bool = True):
+    def __init__(self, n: int, gamma, validate: bool = True):
         gamma = np.array(gamma, dtype=float)
         if gamma.shape[-2:] != (2 * n, 2 * n):
             raise ValidationError(
                 f"covariance matrix must be {2*n}x{2*n}, got {gamma.shape}")
-        d = np.zeros(gamma.shape[:-1]) if d is None else np.array(d, dtype=float)
-        if d.shape != gamma.shape[:-1]:
-            raise ValidationError(
-                f"displacement must have shape {gamma.shape[:-1]}, got {d.shape}")
         if validate:
             _require_finite(gamma)
             asym = np.max(np.abs(gamma - gamma.swapaxes(-1, -2)))
@@ -100,10 +97,8 @@ class GaussianState:
                     f"covariance matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
             gamma = 0.5 * (gamma + gamma.swapaxes(-1, -2))
         gamma.flags.writeable = False
-        d.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "d", d)
         if validate:
             nus = symplectic_eigenvalues(self)
             if not np.all(nus[..., 0] >= 1.0 - PHYSICALITY_TOL):
@@ -261,19 +256,6 @@ def _seed_keys(seed) -> np.ndarray:
     return np.atleast_1d(require("seed", keys, 0)).astype(np.uint64)
 
 
-def _identities(lead: tuple, n: int) -> np.ndarray:
-    out = np.empty(lead + (2 * n, 2 * n))
-    out[...] = np.eye(2 * n)
-    return out
-
-
-def _embed(n: int, j: int, blocks: np.ndarray) -> np.ndarray:
-    """Stack of 2n x 2n identities with the 2x2 blocks at mode j."""
-    out = _identities(blocks.shape[:-2], n)
-    out[..., 2 * j:2 * j + 2, 2 * j:2 * j + 2] = blocks
-    return out
-
-
 def _rotations(phi: np.ndarray) -> np.ndarray:
     c, s = np.cos(phi), np.sin(phi)
     out = np.empty(phi.shape + (2, 2))
@@ -291,10 +273,12 @@ def _gamma_from_uniforms(n: int, u: np.ndarray, nu_max: float,
     Generator.uniform calls of this generator made, in that order; each
     maps to low + (high - low) * u as numpy's uniform does.  gamma is
     S diag(nu) S^T with S the ordered product of the per-mode rotations
-    and squeezers and the adjacent mode mixers.  Products with the
-    squeezers and diag(nu) only scale columns, which is exact; the others
-    are stacked matmuls, so every state gets the same floating-point
-    operations as a 2n x 2n product chain of its own.
+    and squeezers and the adjacent mode mixers.  Each mode's block
+    R(phi_1) diag(e^r, e^-r) R(phi_2) is a stacked 2x2 matmul, placed on
+    the diagonal of S; each mixer then rotates, by a stacked matmul, the
+    two pairs of columns it mixes.  The terms a 2n x 2n product chain adds
+    beyond these are products with 0 and 1, which are exact, so every
+    state gets the bits of a product chain of its own.
     """
     lead = u.shape[:-1]
     if nu_max > 1.0:
@@ -307,21 +291,18 @@ def _gamma_from_uniforms(n: int, u: np.ndarray, nu_max: float,
     # libm in the last bit for some arguments, which would change the states
     squeeze, unsqueeze = (np.fromiter(map(math.exp, x.ravel().tolist()), float,
                                       count=x.size).reshape(x.shape) for x in (r, -r))
-    s_total = _identities(lead, n)
+    first = _rotations(two_pi * u[..., 0:3 * n:3])
+    first[..., 0] *= squeeze[..., None]
+    first[..., 1] *= unsqueeze[..., None]
+    blocks = first @ _rotations(two_pi * u[..., 2:3 * n:3])
+    s_total = np.zeros(lead + (2 * n, 2 * n))
     for j in range(n):
-        s_total = s_total @ _embed(n, j, _rotations(two_pi * u[..., 3 * j]))
-        s_total[..., 2 * j] *= squeeze[..., j, None]
-        s_total[..., 2 * j + 1] *= unsqueeze[..., j, None]
-        s_total = s_total @ _embed(n, j, _rotations(two_pi * u[..., 3 * j + 2]))
+        s_total[..., 2 * j:2 * j + 2, 2 * j:2 * j + 2] = blocks[..., j, :, :]
     for j in range(n - 1):
-        theta = two_pi * u[..., 3 * n + j]
-        c, s = np.cos(theta), np.sin(theta)
-        mixer = _identities(lead, n)
+        mixer = _rotations(two_pi * u[..., 3 * n + j])
         for q in range(2):
-            a, b = 2 * j + q, 2 * j + 2 + q
-            mixer[..., a, a] = mixer[..., b, b] = c
-            mixer[..., a, b], mixer[..., b, a] = s, -s
-        s_total = s_total @ mixer
+            pair = [2 * j + q, 2 * j + 2 + q]
+            s_total[..., pair] = s_total[..., pair] @ mixer
     gamma = (s_total * np.repeat(nus, 2, axis=-1)[..., None, :]) @ s_total.swapaxes(-1, -2)
     return 0.5 * (gamma + gamma.swapaxes(-1, -2))
 

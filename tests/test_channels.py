@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qepi.channels import (MixingParams, add_noise, displace, mix,
+from qepi import fock
+from qepi.channels import (AMPLIFIER, MixingParams, add_noise, mix,
                            noise_commutation_check, time_reversal_matrix,
                            time_reverse)
 from qepi.symplectic import (PHYSICALITY_TOL, DomainError, GaussianState,
@@ -38,7 +39,6 @@ def test_mix_vacuum_fixed_point():
     vac = GaussianState.vacuum()
     out = mix(vac, vac, MixingParams.beam_splitter(0.37))
     assert np.allclose(out.gamma, np.eye(2))
-    assert np.allclose(out.d, 0.0)
 
 
 def test_mix_thermal_vacuum_closed_form():
@@ -83,7 +83,7 @@ def test_add_noise_semigroup_exact():
         add_noise(state, [0.5, -0.1])
     # an array of times broadcasts against the stack axes
     noisy = add_noise(state, [[0.3], [1.0]])
-    assert noisy.gamma.shape == (2, 1, 2, 2) and noisy.d.shape == (2, 1, 2)
+    assert noisy.gamma.shape == (2, 1, 2, 2)
     assert np.array_equal(noisy.gamma[1, 0], one_step.gamma)
 
 
@@ -114,38 +114,35 @@ def test_noise_commutation_amplifier():
     assert rec.t_C == pytest.approx(3.5)
 
 
-def test_displace():
-    vac = GaussianState.vacuum()
-    same = displace(vac, 0, 0.0)
-    assert np.array_equal(same.d, vac.d)
-    shifted = displace(displace(GaussianState.vacuum(2), 0, 1.0), 1, 1.0)
-    assert np.array_equal(shifted.d, [1.0, 1.0, 0.0, 0.0])
-    with pytest.raises(DomainError):
-        displace(vac, 2, 1.0)
-
-
 def test_displacement_mixes_with_weights():
-    # translating inputs by w_A, w_B then mixing equals mixing then
-    # translating by w_C = sqrt(lam_A) w_A + sqrt(lam_B) w_B
-    a = random_gaussian_state(1, 31, nu_max=4.0)
-    b = random_gaussian_state(1, 32, nu_max=4.0)
-    p = MixingParams.beam_splitter(0.6)
-    w_a, w_b, theta = 0.7, -1.3, 0.9
-    w_c = math.sqrt(p.lambda_A) * w_a + math.sqrt(p.lambda_B) * w_b
-    first = mix(displace(a, 0, w_a * theta), displace(b, 0, w_b * theta), p)
-    second = displace(mix(a, b, p), 0, w_c * theta)
-    assert np.allclose(first.d, second.d, atol=1e-12)
-    assert np.allclose(first.gamma, second.gamma, atol=1e-12)
+    # in Fock space: translating the inputs by w_A theta and w_B theta, then
+    # mixing, equals mixing, then translating by w_C theta with
+    # w_C = sqrt(lam_A) w_A + s sqrt(lam_B) w_B; s = -1 only for the
+    # amplifier along p, where the time-reversed B port flips its P shift
+    rho_a, rho_b = fock.thermal_state(0.5, 40), fock.fock_state(1, 40)
+    w_a, w_b, theta = 0.7, -1.3, 0.3
+    for p in (MixingParams.beam_splitter(0.6), MixingParams.amplifier(1.5)):
+        mixed = fock.two_mode_mix(rho_a, rho_b, p)
+        for direction in ("q", "p"):
+            first = fock.two_mode_mix(fock.displace_fock(rho_a, direction, w_a * theta),
+                                      fock.displace_fock(rho_b, direction, w_b * theta), p)
+            s = -1.0 if p.kind == AMPLIFIER and direction == "p" else 1.0
+
+            def distance(sign):
+                w_c = math.sqrt(p.lambda_A) * w_a + sign * math.sqrt(p.lambda_B) * w_b
+                return fock.trace_distance(
+                    first, fock.displace_fock(mixed, direction, w_c * theta))
+
+            assert distance(s) <= 1e-7, (p.kind, direction)
+            assert distance(-s) > 0.1, (p.kind, direction)
 
 
 def test_time_reverse_involution_and_entropy():
     thermal = GaussianState.thermal(2.0)
     assert np.array_equal(time_reverse(thermal).gamma, thermal.gamma)
     state = random_gaussian_state(1, 41, nu_max=5.0, r_max=1.2)
-    state = displace(state, 1, 0.4)
     twice = time_reverse(time_reverse(state))
     assert np.array_equal(twice.gamma, state.gamma)
-    assert np.array_equal(twice.d, state.d)
     assert entropy(time_reverse(state)) == pytest.approx(entropy(state), abs=1e-10)
 
 
@@ -153,19 +150,16 @@ def test_time_reverse_involution_and_entropy():
                                     MixingParams.amplifier(1.5)])
 def test_channels_broadcast_over_stacks(params):
     # a stack goes through the channels as its rows do one by one
-    a = [displace(random_gaussian_state(1, seed, nu_max=6.0, r_max=1.2), 1, 0.3)
-         for seed in range(5)]
+    a = [random_gaussian_state(1, seed, nu_max=6.0, r_max=1.2) for seed in range(5)]
     b = [random_gaussian_state(1, seed + 100, nu_max=6.0, r_max=1.2)
          for seed in range(5)]
-    stack_a = GaussianState(1, [s.gamma for s in a], [s.d for s in a])
+    stack_a = GaussianState(1, [s.gamma for s in a])
     stack_b = GaussianState(1, [s.gamma for s in b])
     mixed, reversed_ = mix(stack_a, stack_b, params), time_reverse(stack_a)
     for k in range(5):
         row = mix(a[k], b[k], params)
         assert np.array_equal(mixed.gamma[k], row.gamma)
-        assert np.array_equal(mixed.d[k], row.d)
         assert np.array_equal(reversed_.gamma[k], time_reverse(a[k]).gamma)
-        assert np.array_equal(reversed_.d[k], time_reverse(a[k]).d)
     # one state against a stack broadcasts the single state
     assert np.array_equal(mix(a[0], stack_b, params).gamma[3],
                           mix(a[0], b[3], params).gamma)

@@ -7,7 +7,7 @@ import pytest
 
 from qepi import fock
 from qepi.broadcast import capacity_point
-from qepi.channels import MixingParams, add_noise, displace
+from qepi.channels import MixingParams, add_noise
 from qepi.inequalities import asymptotic_check, epni_gap, linear_check, qepi_check
 from qepi.symplectic import (LOG_FLOAT_MAX, DomainError, GaussianState, entropy_power, g,
                              random_gaussian_state, require)
@@ -93,7 +93,6 @@ LIBRARY_CALLS = {
     "GaussianState.thermal inf": lambda: GaussianState.thermal(INF),
     "add_noise nan": lambda: add_noise(GaussianState.vacuum(), NAN),
     "add_noise inf in array": lambda: add_noise(GaussianState.vacuum(), [0.5, INF]),
-    "displace nan": lambda: displace(GaussianState.vacuum(), 0, NAN),
     "MixingParams nan lambda_B": lambda: MixingParams("beam_splitter", 0.5, NAN),
     "MixingParams nan amplifier lambda_B": lambda: MixingParams("amplifier", 2.0, NAN),
     "qepi_check nan": lambda: qepi_check(NAN, 1.0, 1.0, 1, BS),

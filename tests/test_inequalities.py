@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import strategies as st
 
 from qepi import fisher, inequalities, symplectic
 from qepi.channels import MixingParams, mix
-from qepi.fisher import DivergenceError, fisher_total_gaussian, full_rank, stam_check
+from qepi.fisher import DivergenceError, fisher_total_gaussian, full_rank
 from qepi.inequalities import (EPNI_FLOOR, amplifier_photon_gap,
                                asymptotic_check, delta_surface,
                                delta_surface_max, delta_surface_sup, epni_gap,
                                linear_check, moe_bound, moe_conjectured, moe_delta,
-                               qepi_check, random_qepi_suite, ratio_trajectory)
+                               qepi_check, random_qepi_suite, ratio_trajectory,
+                               stam_check)
 from qepi.symplectic import (DomainError, GaussianState, entropy, g, g_inv,
                              random_gaussian_state)
 
@@ -272,6 +274,21 @@ def test_ratio_trajectory_runs_up_to_its_cap():
                          t_max=math.nextafter(inequalities.TRAJECTORY_T_MAX, math.inf))
 
 
+def test_ratio_trajectory_overflow_is_integration_error():
+    # t_X grows at the rate e^{S_X}: from thermal(1e6) it leaves the floats
+    # before t = 500, from thermal(1e3) it stays inside them
+    p = MixingParams.beam_splitter(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(inequalities.IntegrationError, match="overflow"):
+            ratio_trajectory(GaussianState.thermal(1e6), GaussianState.vacuum(), p,
+                             t_max=500.0)
+        traj = ratio_trajectory(GaussianState.thermal(1e3), GaussianState.vacuum(), p,
+                                t_max=500.0)
+    assert np.isfinite(traj.t_C).all() and np.isfinite(traj.ratio).all()
+    assert traj.t_C[-1] == pytest.approx(1.36e298, rel=1e-2)
+
+
 def test_ratio_trajectory_failed_solve_raises(monkeypatch):
     import scipy.integrate
 
@@ -461,7 +478,7 @@ def _trial_reports(seed, idx, params, mixer=mix):
         reports["epni_floor"] = epni_gap(n_a, n_b, n_c, params.lambda_A)
     abc = GaussianState(1, np.stack([a.gamma, b.gamma, c.gamma]), validate=False)
     if np.all(full_rank(abc)):
-        reports["stam"] = stam_check(*fisher_total_gaussian(abc).total.tolist(), params)
+        reports["stam"] = stam_check(*fisher_total_gaussian(abc).tolist(), params)
     return reports
 
 

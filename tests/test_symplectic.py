@@ -308,10 +308,6 @@ def test_validation_rejects_asymmetric_and_unphysical():
         GaussianState(1, np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValidationError):
         GaussianState(1, 0.5 * np.eye(2))
-    with pytest.raises(ValidationError):
-        GaussianState(1, np.eye(2), d=np.zeros(4))
-    with pytest.raises(ValidationError):
-        GaussianState(1, np.stack([np.eye(2)] * 3), d=np.zeros(2))
     # |eigvals(Omega gamma)| cannot see the sign of det gamma; these are not
     # positive definite, so no covariance matrices
     for gamma in (-3.0 * np.eye(2), [[1.0, 2.0], [2.0, 1.0]], np.diag([5.0, -0.5]),
