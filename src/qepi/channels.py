@@ -82,20 +82,3 @@ def time_reverse(state: GaussianState) -> GaussianState:
     t = time_reversal_matrix(state.n)
     return GaussianState(state.n, t @ state.gamma @ t, validate=False)
 
-
-@dataclass(frozen=True)
-class CommutationRecord:
-    max_gamma_deviation: float
-    t_C: float
-    equal: bool
-
-
-def noise_commutation_check(a: GaussianState, b: GaussianState, p: MixingParams,
-                            t_a: float, t_b: float,
-                            tol: float = 1e-12) -> CommutationRecord:
-    """Noise-then-mix equals mix-then-noise with t_C = lam_A t_A + lam_B t_B."""
-    t_c = p.lambda_A * t_a + p.lambda_B * t_b
-    lhs = mix(add_noise(a, t_a), add_noise(b, t_b), p)
-    rhs = add_noise(mix(a, b, p), t_c)
-    dev = float(np.max(np.abs(lhs.gamma - rhs.gamma)))
-    return CommutationRecord(dev, t_c, dev <= tol)

@@ -68,12 +68,13 @@ def cmd_figures(args) -> int:
     atomic_write(os.path.join(args.out, "delta_surface.csv"), "".join(blocks))
 
     rows = [("S_bar", "lambda", "gaussian_ansatz", "qepi_bound")]
-    lams = np.linspace(0.0, 1.0, 201)
+    s_bars, lams = np.array([[0.5], [1.0], [1.5]]), np.linspace(0.0, 1.0, 201)
     lam_text = [f"{lam:.10g}" for lam in lams.tolist()]
-    for s_bar in (0.5, 1.0, 1.5):
-        ansatz = [f"{x:.12g}" for x in moe_conjectured(s_bar, lams).tolist()]
-        bound = [f"{x:.12g}" for x in moe_bound(s_bar, lams).tolist()]
-        rows += [(f"{s_bar:.10g}",) + row for row in zip(lam_text, ansatz, bound)]
+    for s_bar, ansatz, bound in zip(s_bars[:, 0].tolist(),
+                                    moe_conjectured(s_bars, lams).tolist(),
+                                    moe_bound(s_bars, lams).tolist()):
+        rows += [(f"{s_bar:.10g}", lam, f"{a:.12g}", f"{b:.12g}")
+                 for lam, a, b in zip(lam_text, ansatz, bound)]
     atomic_write(os.path.join(args.out, "moe_bounds.csv"), csv_text(rows))
 
     broadcast.write_region_csv(os.path.join(args.out, "region.csv"), points)

@@ -17,8 +17,9 @@ import numpy as np
 from . import symplectic
 from .channels import BEAM_SPLITTER, MixingParams, add_noise, mix
 from .fisher import DivergenceError, fisher_total_gaussian, spectrum_full_rank
-from .symplectic import (GaussianState, NumericError, entropy, g, g_inv,
-                         random_gaussian_state, require, spectrum_entropy)
+from .symplectic import (G_MAX, DomainError, GaussianState, NumericError, _g, _g_inv,
+                         entropy, g, g_inv, random_gaussian_state, require,
+                         spectrum_entropy)
 
 GAUSSIAN_SLACK_TOL = 1e-9
 ORACLE_SLACK_TOL = 1e-6
@@ -200,8 +201,18 @@ def moe_conjectured(s_bar, transmissivity):
 
 
 def moe_delta(s_bar, transmissivity):
-    """Gap between the conjectured minimum and the proven bound; >= 0."""
-    return moe_conjectured(s_bar, transmissivity) - moe_bound(s_bar, transmissivity)
+    """Gap between the conjectured minimum and the proven bound; >= 0.
+
+    moe_conjectured - moe_bound bit for bit, from one g_inv and one e^{S_bar},
+    with S_bar and lam checked once.
+    """
+    s, lam = _moe_domain(s_bar, transmissivity)
+    return _scalar(_moe_delta(g_inv(s), np.exp(s), lam))
+
+
+def _moe_delta(n_s, e_s, lam):
+    """moe_delta from n_s = g_inv(S_bar) and e_s = e^{S_bar}, unchecked."""
+    return _g(lam * n_s) - np.log(lam * e_s + 1.0 - lam)
 
 
 def delta_surface(s_grid=None, lam_grid=None):
@@ -242,10 +253,21 @@ def delta_surface_max(s_grid=None, lam_grid=None, *, surface=None):
     along the ridge lam ~ e^{-S_bar} to the box edge) nor the supremum
     (see delta_surface_sup).  A caller that holds delta_surface's
     (s_grid, lam_grid, surface) passes all three, and the surface is not
-    computed again.  Returns (max_delta, s_bar_at_max, lam_at_max).
+    computed again; a surface whose shape is not (len(s_grid),
+    len(lam_grid)) raises DomainError.  Each round takes g_inv(S_bar) and
+    e^{S_bar} once for its lam zoom.  Returns (max_delta, s_bar_at_max,
+    lam_at_max).
     """
     if surface is None:
         s_grid, lam_grid, surface = delta_surface(s_grid, lam_grid)
+    elif np.shape(surface) != np.shape(s_grid) + np.shape(lam_grid):
+        raise DomainError(f"surface of shape {np.shape(surface)} is not (len(s_grid), "
+                          f"len(lam_grid)): s_grid has shape {np.shape(s_grid)}, "
+                          f"lam_grid {np.shape(lam_grid)}")
+    else:
+        # the refinement below evaluates the gap unchecked inside the grids
+        require("S_bar", np.asarray(s_grid, dtype=float), 0.0, G_MAX)
+        require("transmissivity", np.asarray(lam_grid, dtype=float), 0.0, 1.0)
     i, j = np.unravel_index(int(np.argmax(surface)), surface.shape)
     s_best, lam_best = float(s_grid[i]), float(lam_grid[j])
     s_lo = float(s_grid[max(i - 1, 0)])
@@ -253,8 +275,11 @@ def delta_surface_max(s_grid=None, lam_grid=None, *, surface=None):
     lam_lo = float(lam_grid[max(j - 1, 0)])
     lam_hi = float(lam_grid[min(j + 1, len(lam_grid) - 1)])
     for _ in range(4):
-        lam_best = _zoom_max(lambda x: moe_delta(s_best, x), lam_lo, lam_hi)
-        s_best = _zoom_max(lambda x: moe_delta(x, lam_best), s_lo, s_hi)
+        s = np.asarray(s_best)
+        n_s, e_s = _g_inv(s), np.exp(s)
+        lam_best = _zoom_max(lambda x: _moe_delta(n_s, e_s, x), lam_lo, lam_hi)
+        s_best = _zoom_max(lambda x: _moe_delta(_g_inv(x), np.exp(x), lam_best),
+                           s_lo, s_hi)
     return moe_delta(s_best, lam_best), s_best, lam_best
 
 
@@ -396,6 +421,11 @@ class SuiteSummary:
     seed: int
     kind: str
     lambda_A: float
+    # the draw settings and whether Stam ran: with seed, kind and lambda_A
+    # they replay any trial from the report alone
+    nu_max: float
+    r_max: float
+    with_stam: bool
     min_qepi_slack: float
     min_linear_slack: float
     min_stam_slack: float
@@ -416,7 +446,8 @@ class SuiteSummary:
         def minimum(value, trial):
             return None if trial is None else value
         return {"trials": self.trials, "seed": self.seed, "kind": self.kind,
-                "lambda_A": self.lambda_A,
+                "lambda_A": self.lambda_A, "nu_max": self.nu_max, "r_max": self.r_max,
+                "with_stam": self.with_stam,
                 "min_qepi_slack": minimum(self.min_qepi_slack, self.min_qepi_trial),
                 "min_linear_slack": minimum(self.min_linear_slack, self.min_linear_trial),
                 "min_stam_slack": minimum(self.min_stam_slack, self.min_stam_trial),
@@ -513,6 +544,7 @@ def random_qepi_suite(trials: int, seed: int, p: MixingParams,
     hist = sum(np.histogram(gaps[i:i + SUITE_CHUNK], bins=edges)[0]
                for i in range(0, trials, SUITE_CHUNK))
     return SuiteSummary(trials=trials, seed=seed, kind=p.kind, lambda_A=p.lambda_A,
+                        nu_max=nu_max, r_max=r_max, with_stam=with_stam,
                         min_qepi_slack=mins["qepi"].value,
                         min_linear_slack=mins["linear"].value,
                         min_stam_slack=mins["stam"].value,

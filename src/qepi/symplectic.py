@@ -180,12 +180,24 @@ def g_inv(entropy_nats) -> float:
     Safeguarded Newton on g(N) = S, applied to every element at once.  g is
     concave and increasing, so an iterate below the root never overshoots
     it; a step that would land at N <= 0 divides the iterate by 10 instead.
-    Every iterate is >= 0, so the loop calls the unchecked _g.
+    """
+    s = require("entropy", np.asarray(entropy_nats, dtype=float), 0, G_MAX)
+    x = _g_inv(s)
+    return float(x) if x.ndim == 0 else x
+
+
+def _g_inv(s: np.ndarray) -> np.ndarray:
+    """g_inv on a float array s in [0, G_MAX], unchecked.
+
+    Each Newton step takes ln(1 + 1/x) once, as g's large-N term and as
+    g'(x), the step's slope; g's tiny-N branch is evaluated only in a step
+    with some iterate below 1e-290.  Every iterate is >= 0, so g's value is
+    the one _g picks, bit for bit.
     """
     # -0.0 + 0.0 is 0.0, so a signed zero takes the path whose root is exactly 0
-    s = require("entropy", np.asarray(entropy_nats, dtype=float) + 0.0, 0, G_MAX)
+    s = s + 0.0
     # log(0) and 1/x at x = 0 or subnormal x give inf, which makes the step 0
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # start from the large-N asymptote g(N) ~ 1 + ln(N + 1/2) or the
         # tiny-N expansion g(N) ~ N(1 - ln N)
         x = np.where(s > 1.0, np.exp(s - 1.0) - 0.5, s / (1.0 - np.log(s)))
@@ -194,14 +206,19 @@ def g_inv(entropy_nats) -> float:
         tol = 1e-15 * np.maximum(1.0, s)
         active = np.ones(s.shape, dtype=bool)
         for _ in range(_G_INV_MAX_ITER):
-            new = x - (_g(x) - s) / np.log1p(1.0 / x)
+            slope = np.log1p(1.0 / x)
+            g_x = np.log1p(x) + x * slope
+            tiny = x < 1e-290
+            if tiny.any():
+                g_x = np.where(tiny, np.where(x > 0.0, x * (1.0 - np.log(x)), 0.0), g_x)
+            new = x - (g_x - s) / slope
             new = np.where(new > 0.0, new, x / 10.0)
             converged = np.abs(new - x) <= tol * new
             x = np.where(active, new, x)
             active &= ~converged
             if not active.any():
                 break
-    return float(x) if x.ndim == 0 else x
+    return x
 
 
 def entropy(state: GaussianState):

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from qepi import fock
 from qepi.channels import (AMPLIFIER, MixingParams, add_noise, mix,
-                           noise_commutation_check, time_reversal_matrix,
-                           time_reverse)
+                           time_reversal_matrix, time_reverse)
 from qepi.symplectic import (PHYSICALITY_TOL, DomainError, GaussianState,
                              ValidationError, entropy, g, random_gaussian_state,
                              symplectic_eigenvalues)
@@ -93,6 +92,14 @@ def test_entropy_nondecreasing_under_noise():
     assert np.all(np.diff(values) >= -1e-12)
 
 
+def _noise_commutes(a, b, p, t_a, t_b):
+    """Noise then mix equals mix then noise t_C = lam_A t_A + lam_B t_B, within 1e-12."""
+    t_c = p.lambda_A * t_a + p.lambda_B * t_b
+    noise_first = mix(add_noise(a, t_a), add_noise(b, t_b), p).gamma
+    mix_first = add_noise(mix(a, b, p), t_c).gamma
+    return np.max(np.abs(noise_first - mix_first)) <= 1e-12
+
+
 @given(st.integers(min_value=0, max_value=10 ** 6),
        st.floats(min_value=0.05, max_value=0.95),
        st.floats(min_value=0.0, max_value=3.0),
@@ -101,17 +108,13 @@ def test_entropy_nondecreasing_under_noise():
 def test_noise_commutation_beam_splitter(seed, lam, t_a, t_b):
     a = random_gaussian_state(1, seed, nu_max=8.0, r_max=1.0)
     b = random_gaussian_state(1, seed + 1, nu_max=8.0, r_max=1.0)
-    rec = noise_commutation_check(a, b, MixingParams.beam_splitter(lam), t_a, t_b)
-    assert rec.equal
-    assert rec.t_C == pytest.approx(lam * t_a + (1.0 - lam) * t_b, abs=1e-12)
+    assert _noise_commutes(a, b, MixingParams.beam_splitter(lam), t_a, t_b)
 
 
 def test_noise_commutation_amplifier():
     a = random_gaussian_state(1, 21, nu_max=5.0)
     b = random_gaussian_state(1, 22, nu_max=5.0)
-    rec = noise_commutation_check(a, b, MixingParams.amplifier(1.5), 2.0, 1.0)
-    assert rec.equal
-    assert rec.t_C == pytest.approx(3.5)
+    assert _noise_commutes(a, b, MixingParams.amplifier(1.5), 2.0, 1.0)
 
 
 def test_displacement_mixes_with_weights():

@@ -16,7 +16,11 @@ import qepi
 from qepi import cli, fisher, fock, inequalities, symplectic
 from qepi.broadcast import capacity_region
 from qepi.cli import main
-from qepi.inequalities import delta_surface, moe_bound, moe_conjectured
+from qepi.channels import MixingParams, mix
+from qepi.fisher import fisher_total_gaussian
+from qepi.inequalities import (delta_surface, moe_bound, moe_conjectured, qepi_check,
+                               stam_check)
+from qepi.symplectic import GaussianState, entropy, random_gaussian_state
 
 
 def test_verify_exit_zero_and_reproducible_report(tmp_path):
@@ -33,6 +37,36 @@ def test_verify_exit_zero_and_reproducible_report(tmp_path):
     payload = json.loads(first)
     assert payload["trials"] == 50
     assert payload["failures"] == []
+
+
+def test_verify_report_replays_its_tightest_trials(tmp_path):
+    # the report alone (seed, channel, draw settings, with_stam) replays the
+    # trial of each minimum, bit for bit, away from the default settings
+    out = tmp_path / "report.json"
+    assert main(["verify", "--trials", "300", "--seed", "3", "--kappa", "2", "--stam",
+                 "--nu-max", "100", "--r-max", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["nu_max"], report["r_max"], report["with_stam"]) == (100.0, 2.0, True)
+    make = {"beam_splitter": MixingParams.beam_splitter, "amplifier": MixingParams.amplifier}
+    p = make[report["kind"]](report["lambda_A"])
+
+    def replay(trial):
+        a, b = (random_gaussian_state(1, np.random.default_rng(np.random.SeedSequence(
+            (report["seed"], trial, k))), nu_max=report["nu_max"], r_max=report["r_max"])
+                for k in (0, 1))
+        return a, b, mix(a, b, p)
+
+    a, b, c = replay(report["min_qepi_trial"])
+    assert qepi_check(entropy(a), entropy(b), entropy(c), 1, p).slack == \
+        report["min_qepi_slack"]
+    a, b, c = replay(report["min_stam_trial"])
+    j_a, j_b, j_c = fisher_total_gaussian(GaussianState(1, np.stack([a.gamma, b.gamma,
+                                                                      c.gamma])))
+    assert stam_check(j_a, j_b, j_c, p).slack == report["min_stam_slack"]
+    # the default draw settings give another state
+    default = random_gaussian_state(1, np.random.default_rng(np.random.SeedSequence(
+        (report["seed"], report["min_stam_trial"], 0))))
+    assert not np.array_equal(default.gamma, a.gamma)
 
 
 def test_verify_amplifier(tmp_path):

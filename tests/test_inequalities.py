@@ -175,6 +175,69 @@ def test_delta_surface_max_pinned_to_golden_section():
     assert lam_at == pytest.approx(GOLDEN_SECTION_MAX[2], abs=1e-6)
 
 
+def test_moe_delta_bit_identical_to_conjectured_minus_bound():
+    s_bar = np.geomspace(0.01, 6.0, 200)[:, None]
+    lam = np.linspace(0.0, 1.0, 201)[None, :]
+    assert np.array_equal(moe_delta(s_bar, lam),
+                          moe_conjectured(s_bar, lam) - moe_bound(s_bar, lam))
+    for s_bar, lam in ((1.0, 0.5), (0.0, 0.3), (-0.0, 0.7), (5.046, 0.0042)):
+        assert moe_delta(s_bar, lam) == moe_conjectured(s_bar, lam) - moe_bound(s_bar, lam)
+
+
+def _written_out_ascent(s_grid, lam_grid, surface):
+    """delta_surface_max's four coordinate rounds over the public moe_delta."""
+    def zoom(f, lo, hi):
+        while hi - lo > 1e-12 * max(1.0, abs(hi)):
+            x = np.linspace(lo, hi, 65)
+            k = int(np.argmax(f(x)))
+            lo, hi = float(x[max(k - 1, 0)]), float(x[min(k + 1, 64)])
+        return 0.5 * (lo + hi)
+
+    i, j = np.unravel_index(int(np.argmax(surface)), surface.shape)
+    s_best, lam_best = float(s_grid[i]), float(lam_grid[j])
+    s_lo, s_hi = float(s_grid[max(i - 1, 0)]), float(s_grid[min(i + 1, len(s_grid) - 1)])
+    lam_lo = float(lam_grid[max(j - 1, 0)])
+    lam_hi = float(lam_grid[min(j + 1, len(lam_grid) - 1)])
+    for _ in range(4):
+        lam_best = zoom(lambda x: moe_delta(s_best, x), lam_lo, lam_hi)
+        s_best = zoom(lambda x: moe_delta(x, lam_best), s_lo, s_hi)
+    return moe_delta(s_best, lam_best), s_best, lam_best
+
+
+@pytest.mark.parametrize("grids", [(None, None),
+                                   # the argmax on the last S_bar row, at the box edge
+                                   (np.linspace(0.1, 3.0, 30), np.linspace(0.0, 1.0, 41))])
+def test_delta_surface_max_is_the_written_out_ascent(grids):
+    s_grid, lam_grid, surface = delta_surface(*grids)
+    assert delta_surface_max(*grids) == _written_out_ascent(s_grid, lam_grid, surface)
+
+
+def test_delta_surface_max_refuses_a_surface_without_grids():
+    s_grid, lam_grid, surface = delta_surface()
+    for grids in ((), (s_grid,)):
+        with pytest.raises(DomainError, match=r"surface of shape \(200, 201\) is not"):
+            delta_surface_max(*grids, surface=surface)
+
+
+def test_delta_surface_max_refuses_grids_shorter_than_the_surface():
+    s_grid, lam_grid, surface = delta_surface()
+    with pytest.raises(DomainError, match=r"s_grid has shape \(199,\), lam_grid \(201,\)"):
+        delta_surface_max(s_grid[:-1], lam_grid, surface=surface)
+    with pytest.raises(DomainError, match=r"s_grid has shape \(200,\), lam_grid \(200,\)"):
+        delta_surface_max(s_grid, lam_grid[1:], surface=surface)
+
+
+def test_delta_surface_max_refuses_grids_longer_than_the_surface():
+    s_grid, lam_grid, surface = delta_surface()
+    with pytest.raises(DomainError, match=r"s_grid has shape \(201,\), lam_grid \(201,\)"):
+        delta_surface_max(np.append(s_grid, 7.0), lam_grid, surface=surface)
+    with pytest.raises(DomainError, match=r"s_grid has shape \(200,\), lam_grid \(202,\)"):
+        delta_surface_max(s_grid, np.append(lam_grid, 1.0), surface=surface)
+    # grids of the right shape are still checked, once, for their domain
+    with pytest.raises(DomainError, match="S_bar must be"):
+        delta_surface_max(-s_grid, lam_grid, surface=surface)
+
+
 def _sup_reference():
     """(sup, c*) of g(c/e) - ln(1 + c) at 40 digits, from g'(c/e)/e = 1/(1 + c)."""
     mpmath = pytest.importorskip("mpmath")

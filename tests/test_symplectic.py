@@ -380,3 +380,58 @@ def test_g_inv_edge_values_warn_not_and_skip_g(monkeypatch):
     # the Newton iterates are nonnegative by construction, so g_inv never
     # calls the checked g
     assert calls == []
+
+
+def _newton_g_inv(entropy_nats):
+    """g_inv as written before its Newton step shared ln(1 + 1/x) with g."""
+    def g_kernel(N):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            large = np.log1p(N) + N * np.log1p(1.0 / N)
+            tiny = N * (1.0 - np.log(N))
+        return np.where(N >= 1e-290, large, np.where(N > 0.0, tiny, 0.0))
+
+    s = np.asarray(entropy_nats, dtype=float) + 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        x = np.where(s > 1.0, np.exp(s - 1.0) - 0.5, s / (1.0 - np.log(s)))
+        tol = 1e-15 * np.maximum(1.0, s)
+        active = np.ones(s.shape, dtype=bool)
+        for _ in range(50):
+            new = x - (g_kernel(x) - s) / np.log1p(1.0 / x)
+            new = np.where(new > 0.0, new, x / 10.0)
+            converged = np.abs(new - x) <= tol * new
+            x = np.where(active, new, x)
+            active &= ~converged
+            if not active.any():
+                break
+    return float(x) if x.ndim == 0 else x
+
+
+G_INV_EDGE_VALUES = [0.0, -0.0, 5e-324, np.nextafter(1e-290, 0.0), 1e-290,
+                     np.nextafter(1e-290, 1.0), 1.0, G_MAX]
+
+
+def test_g_inv_bit_identical_to_the_newton_loop():
+    sample = np.exp(np.random.default_rng(19).uniform(
+        math.log(5e-324), math.log(G_MAX), 3 * 10 ** 5))
+    sample = np.minimum(sample, G_MAX)
+    edges = np.array(G_INV_EDGE_VALUES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values in (sample, edges):
+            assert _bit_identical(g_inv(values), _newton_g_inv(values))
+        for value in G_INV_EDGE_VALUES:
+            assert isinstance(g_inv(value), float)
+            assert _bit_identical(g_inv(value), _newton_g_inv(value))
+
+
+def test_g_inv_checks_its_argument_once(monkeypatch):
+    calls, require = [], symplectic.require
+
+    def counted(name, *args, **kwargs):
+        calls.append(name)
+        return require(name, *args, **kwargs)
+    monkeypatch.setattr(symplectic, "require", counted)
+    g_inv(1.0)
+    g_inv(np.geomspace(1e-300, 700.0, 50))
+    g_inv(np.zeros((3, 4)))
+    assert calls == ["entropy"] * 3
