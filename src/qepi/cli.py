@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -132,7 +133,13 @@ def cmd_trajectory(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qepi parser, built on the first call and shared by every later one.
+
+    Parsing leaves no state in it, so `main` reuses one parser per process;
+    importing this module builds none.
+    """
     parser = argparse.ArgumentParser(
         prog="qepi",
         description="Verify bosonic entropy power inequalities and export figure data.")
@@ -176,8 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # the one place an error becomes an exit code; an error of no family is a bug
     try:
         return args.func(args)

@@ -17,8 +17,8 @@ import numpy as np
 from . import symplectic
 from .channels import BEAM_SPLITTER, MixingParams, add_noise, mix
 from .fisher import DivergenceError, fisher_total_gaussian, spectrum_full_rank
-from .symplectic import (G_MAX, DomainError, GaussianState, NumericError, _g, _g_inv,
-                         entropy, g, g_inv, random_gaussian_state, require,
+from .symplectic import (G_MAX, LOG_FLOAT_MAX, DomainError, GaussianState, NumericError,
+                         _g, _g_inv, entropy, g, g_inv, random_gaussian_state, require,
                          spectrum_entropy)
 
 GAUSSIAN_SLACK_TOL = 1e-9
@@ -187,8 +187,7 @@ def moe_bound(s_bar, transmissivity):
     Arrays broadcast; a float for float arguments.
     """
     s, lam = _moe_domain(s_bar, transmissivity)
-    out = np.log(lam * np.exp(s) + 1.0 - lam)
-    return float(out) if out.ndim == 0 else out
+    return _scalar(_log_mix(s)(lam))
 
 
 def moe_conjectured(s_bar, transmissivity):
@@ -207,12 +206,24 @@ def moe_delta(s_bar, transmissivity):
     with S_bar and lam checked once.
     """
     s, lam = _moe_domain(s_bar, transmissivity)
-    return _scalar(_moe_delta(g_inv(s), np.exp(s), lam))
+    return _scalar(_g(lam * g_inv(s)) - _log_mix(s)(lam))
 
 
-def _moe_delta(n_s, e_s, lam):
-    """moe_delta from n_s = g_inv(S_bar) and e_s = e^{S_bar}, unchecked."""
-    return _g(lam * n_s) - np.log(lam * e_s + 1.0 - lam)
+def _log_mix(s, small: bool = False):
+    """lam -> ln(lam e^S + 1 - lam) at fixed S (a float array >= 0), unchecked.
+
+    e^S is taken once, for every lam.  Where it overflows, at S above
+    LOG_FLOAT_MAX, the log is taken as S + ln(lam + (1 - lam) e^{-S});
+    elsewhere in the direct form, bit for bit.  A caller that knows every
+    S is at most LOG_FLOAT_MAX passes small=True and skips that test.
+    """
+    if small or not np.any(s > LOG_FLOAT_MAX):
+        e_s = np.exp(s)
+        return lambda lam: np.log(lam * e_s + 1.0 - lam)
+    big = s > LOG_FLOAT_MAX
+    e_s, e_neg = np.exp(np.where(big, 0.0, s)), np.exp(-s)
+    return lambda lam: np.where(big, s + np.log(lam + (1.0 - lam) * e_neg),
+                                np.log(lam * e_s + 1.0 - lam))
 
 
 def delta_surface(s_grid=None, lam_grid=None):
@@ -254,9 +265,9 @@ def delta_surface_max(s_grid=None, lam_grid=None, *, surface=None):
     (see delta_surface_sup).  A caller that holds delta_surface's
     (s_grid, lam_grid, surface) passes all three, and the surface is not
     computed again; a surface whose shape is not (len(s_grid),
-    len(lam_grid)) raises DomainError.  Each round takes g_inv(S_bar) and
-    e^{S_bar} once for its lam zoom.  Returns (max_delta, s_bar_at_max,
-    lam_at_max).
+    len(lam_grid)) raises DomainError, and so does a grid that is not
+    strictly ascending.  Each round takes g_inv(S_bar) and e^{S_bar} once
+    for its lam zoom.  Returns (max_delta, s_bar_at_max, lam_at_max).
     """
     if surface is None:
         s_grid, lam_grid, surface = delta_surface(s_grid, lam_grid)
@@ -268,18 +279,24 @@ def delta_surface_max(s_grid=None, lam_grid=None, *, surface=None):
         # the refinement below evaluates the gap unchecked inside the grids
         require("S_bar", np.asarray(s_grid, dtype=float), 0.0, G_MAX)
         require("transmissivity", np.asarray(lam_grid, dtype=float), 0.0, 1.0)
+    # the grid neighbours of the argmax bound the refinement's box
+    for name, grid in (("s_grid", s_grid), ("lam_grid", lam_grid)):
+        if not np.all(np.diff(grid) > 0.0):
+            raise DomainError(f"{name} is not strictly ascending")
     i, j = np.unravel_index(int(np.argmax(surface)), surface.shape)
     s_best, lam_best = float(s_grid[i]), float(lam_grid[j])
     s_lo = float(s_grid[max(i - 1, 0)])
     s_hi = float(s_grid[min(i + 1, len(s_grid) - 1)])
     lam_lo = float(lam_grid[max(j - 1, 0)])
     lam_hi = float(lam_grid[min(j + 1, len(lam_grid) - 1)])
+    # whether e^{S_bar} is a float throughout the box, decided once
+    small = s_hi <= LOG_FLOAT_MAX
     for _ in range(4):
         s = np.asarray(s_best)
-        n_s, e_s = _g_inv(s), np.exp(s)
-        lam_best = _zoom_max(lambda x: _moe_delta(n_s, e_s, x), lam_lo, lam_hi)
-        s_best = _zoom_max(lambda x: _moe_delta(_g_inv(x), np.exp(x), lam_best),
-                           s_lo, s_hi)
+        n_s, log_mix = _g_inv(s), _log_mix(s, small)
+        lam_best = _zoom_max(lambda x: _g(x * n_s) - log_mix(x), lam_lo, lam_hi)
+        s_best = _zoom_max(
+            lambda x: _g(lam_best * _g_inv(x)) - _log_mix(x, small)(lam_best), s_lo, s_hi)
     return moe_delta(s_best, lam_best), s_best, lam_best
 
 

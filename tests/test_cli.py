@@ -263,12 +263,17 @@ print("oracle", loaded())
 """
 
 
-def test_gaussian_commands_load_no_scipy(tmp_path):
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that finds this qepi, warnings as errors."""
     src = os.path.dirname(os.path.dirname(qepi.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-W", "error", "-c", SCIPY_PROBE, str(tmp_path)],
-                         capture_output=True, text=True, check=True, env=env)
+    return subprocess.run([sys.executable, "-W", "error", *args],
+                          capture_output=True, text=True, check=True, env=env)
+
+
+def test_gaussian_commands_load_no_scipy(tmp_path):
+    out = _run_python("-c", SCIPY_PROBE, str(tmp_path))
     probes = dict(line.split(" ", 1) for line in out.stdout.splitlines()
                   if line.startswith(("gaussian ", "oracle ")))
     assert probes["gaussian"] == "[]"
@@ -405,3 +410,49 @@ def test_every_qepi_error_has_one_exit_family(monkeypatch, capsys):
         monkeypatch.setattr(cli, "random_qepi_suite", _raise(error))
         assert main(["verify", "--trials", "5"]) == code, error
         assert capsys.readouterr().err.startswith(prefix)
+
+
+def test_main_builds_its_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    for argv in (["verify", "--trials", "5"], ["verify", "--trials", "3", "--kappa", "2"],
+                 ["trajectory", "--t-max", "1"]):
+        assert main(argv) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_importing_the_cli_builds_no_parser():
+    out = _run_python("-c", "import qepi.cli as cli; "
+                            "print(cli.build_parser.cache_info().misses)")
+    assert out.stdout == "0\n"
+
+
+def test_shared_parser_reports_survive_failed_calls(tmp_path, capsys):
+    # a usage error inside argparse and a DomainError between two identical
+    # calls leave the shared parser as it was
+    out = tmp_path / "report.json"
+    argv = ["verify", "--trials", "40", "--seed", "5", "--kappa", "1.5", "--stam",
+            "--out", str(out)]
+    assert main(argv) == 0
+    first = out.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--trials", "5", "--lambda", "0.3", "--kappa", "2"])
+    assert exc.value.code == 2
+    assert main(["verify", "--trials", "0"]) == 2
+    assert main(argv) == 0
+    assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("command", [[], ["verify"], ["figures"], ["oracle"],
+                                     ["trajectory"]])
+def test_shared_parser_help_matches_a_fresh_parser(command, capsys):
+    assert main(["verify", "--trials", "3"]) == 0
+    capsys.readouterr()
+    texts = []
+    for parse in (main, cli.build_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(command + ["--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith(" ".join(["usage: qepi"] + command))

@@ -15,8 +15,8 @@ from qepi.inequalities import (EPNI_FLOOR, amplifier_photon_gap,
                                linear_check, moe_bound, moe_conjectured, moe_delta,
                                qepi_check, random_qepi_suite, ratio_trajectory,
                                stam_check)
-from qepi.symplectic import (DomainError, GaussianState, entropy, g, g_inv,
-                             random_gaussian_state)
+from qepi.symplectic import (G_MAX, LOG_FLOAT_MAX, DomainError, GaussianState, entropy, g,
+                             g_inv, random_gaussian_state)
 
 # high-precision evaluations frozen as oracles
 MOE_CONJ_1_HALF = 0.6587817063298497
@@ -184,6 +184,30 @@ def test_moe_delta_bit_identical_to_conjectured_minus_bound():
         assert moe_delta(s_bar, lam) == moe_conjectured(s_bar, lam) - moe_bound(s_bar, lam)
 
 
+@pytest.mark.parametrize("s_bar", [710.0, G_MAX])
+def test_moe_past_the_largest_float_exponent(s_bar):
+    # e^{S_bar} overflows above LOG_FLOAT_MAX, yet the bound is about S_bar + ln(lam)
+    assert LOG_FLOAT_MAX < s_bar <= G_MAX
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (0.5, 1e-3):
+            assert moe_bound(s_bar, lam) == pytest.approx(s_bar + math.log(lam), rel=1e-15)
+        assert moe_bound(s_bar, 0.0) == 0.0
+        assert moe_bound(s_bar, 1.0) == s_bar
+        for lam in (0.0, 1e-3, 0.5, 1.0):
+            delta = moe_delta(s_bar, lam)
+            assert math.isfinite(delta) and delta >= 0.0
+
+
+def test_moe_bound_keeps_its_bits_up_to_the_largest_float_exponent():
+    s_bar = np.append(np.linspace(0.0, LOG_FLOAT_MAX, 301), [710.0, G_MAX])[:, None]
+    lam = np.linspace(0.0, 1.0, 11)[None, :]
+    small = s_bar[:-2]
+    direct = np.log(lam * np.exp(small) + 1.0 - lam)
+    for s in (small, s_bar):
+        assert np.array_equal(moe_bound(s, lam)[:len(small)], direct)
+
+
 def _written_out_ascent(s_grid, lam_grid, surface):
     """delta_surface_max's four coordinate rounds over the public moe_delta."""
     def zoom(f, lo, hi):
@@ -206,7 +230,12 @@ def _written_out_ascent(s_grid, lam_grid, surface):
 
 @pytest.mark.parametrize("grids", [(None, None),
                                    # the argmax on the last S_bar row, at the box edge
-                                   (np.linspace(0.1, 3.0, 30), np.linspace(0.0, 1.0, 41))])
+                                   (np.linspace(0.1, 3.0, 30), np.linspace(0.0, 1.0, 41)),
+                                   # a box that reaches past LOG_FLOAT_MAX
+                                   (np.array([709.7, 709.9, 710.3]),
+                                    np.linspace(0.0, 4.0, 41) * math.exp(-710.4)),
+                                   (np.linspace(709.9, G_MAX, 5),
+                                    np.linspace(0.0, 1.0, 11))])
 def test_delta_surface_max_is_the_written_out_ascent(grids):
     s_grid, lam_grid, surface = delta_surface(*grids)
     assert delta_surface_max(*grids) == _written_out_ascent(s_grid, lam_grid, surface)
@@ -238,6 +267,19 @@ def test_delta_surface_max_refuses_grids_longer_than_the_surface():
         delta_surface_max(-s_grid, lam_grid, surface=surface)
 
 
+@pytest.mark.parametrize("computed", [True, False])
+@pytest.mark.parametrize("flip", ["s_grid", "lam_grid"])
+def test_delta_surface_max_refuses_a_grid_not_ascending(flip, computed):
+    # reversed, the argmax's neighbours made an inverted box and a wrong maximum
+    s_grid, lam_grid, _ = delta_surface()
+    for bad in (lambda grid: grid[::-1], lambda grid: np.insert(grid, 1, grid[1])):
+        grids = {"s_grid": s_grid, "lam_grid": lam_grid}
+        grids[flip] = bad(grids[flip])
+        surface = {} if computed else {"surface": delta_surface(**grids)[2]}
+        with pytest.raises(DomainError, match=f"^{flip} is not strictly ascending"):
+            delta_surface_max(**grids, **surface)
+
+
 def _sup_reference():
     """(sup, c*) of g(c/e) - ln(1 + c) at 40 digits, from g'(c/e)/e = 1/(1 + c)."""
     mpmath = pytest.importorskip("mpmath")
@@ -253,8 +295,9 @@ def _sup_reference():
 def test_delta_surface_sup_matches_mpmath():
     sup, c_star = _sup_reference()
     assert delta_surface_sup() == pytest.approx(sup, abs=1e-12)
-    # the surface approaches it along lam = c* e^{-S_bar}
-    assert moe_delta(30.0, c_star * math.exp(-30.0)) == pytest.approx(sup, abs=1e-12)
+    # the surface approaches it along lam = c* e^{-S_bar}, also where e^{S_bar} overflows
+    for s_bar in (30.0, 710.0, G_MAX):
+        assert moe_delta(s_bar, c_star * math.exp(-s_bar)) == pytest.approx(sup, abs=1e-12)
     assert delta_surface_max()[0] < delta_surface_sup()
 
 
