@@ -2,7 +2,7 @@
 information machinery for verifying entropy power inequalities."""
 
 from .broadcast import CapacityPoint, capacity_point, capacity_region
-from .channels import MixingParams, add_noise, mix, time_reverse
+from .channels import MixingParams, add_noise, mix
 from .fisher import (debruijn_check, fisher_direction_fock, fisher_total_fock,
                      fisher_total_gaussian)
 from .fock import (FockDensityMatrix, coherent_state, fock_state,

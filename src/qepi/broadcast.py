@@ -17,6 +17,9 @@ import numpy as np
 from .files import atomic_write, csv_text
 from .symplectic import g, require
 
+# points of beta in [0, 1] a rate region holds
+CAPACITY_GRID_SIZE = 101
+
 
 @dataclass(frozen=True)
 class CapacityPoint:
@@ -57,11 +60,10 @@ def capacity_point(transmissivity: float, n_bar: float, beta) -> CapacityPoint:
                          R_C_qepi=r_c_qepi)
 
 
-def capacity_region(transmissivity: float, n_bar: float,
-                    grid_size: int = 101) -> list[CapacityPoint]:
-    """Sweep beta over a uniform grid."""
-    require("grid_size", grid_size, 2)
-    region = capacity_point(transmissivity, n_bar, np.linspace(0.0, 1.0, grid_size))
+def capacity_region(transmissivity: float, n_bar: float) -> list[CapacityPoint]:
+    """Sweep beta over a uniform grid of CAPACITY_GRID_SIZE points."""
+    region = capacity_point(transmissivity, n_bar,
+                            np.linspace(0.0, 1.0, CAPACITY_GRID_SIZE))
     return [CapacityPoint(*row) for row in zip(region.beta.tolist(), region.R_B.tolist(),
                                                region.R_C_conjectured.tolist(),
                                                region.R_C_qepi.tolist())]

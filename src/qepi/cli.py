@@ -53,7 +53,7 @@ def cmd_verify(args) -> int:
 
 def cmd_figures(args) -> int:
     # the region first: it checks --lambda and --n-bar before any file is written
-    points = broadcast.capacity_region(args.transmissivity, args.n_bar, grid_size=101)
+    points = broadcast.capacity_region(args.transmissivity, args.n_bar)
     os.makedirs(args.out, exist_ok=True)
 
     s_grid, lam_grid, surface = delta_surface()

@@ -153,8 +153,10 @@ class _Sectors:
 
     The beam splitter theta (a^dag b - a b^dag) conserves n_A + n_B and the
     amplifier r (a^dag b^dag - a b) conserves n_A - n_B, also after
-    truncation.  Sector k holds the pairs with n_A + n_B = k (beam
-    splitter) or n_A - n_B = k - (dim - 1) (amplifier), at most dim of
+    truncation.  Both are the charge n_A + label_b[n_B], where label_b
+    relabels n_B as dim - 1 - n_B when B is reversed (the amplifier) and
+    is the identity otherwise; amplifier sector k is beam-splitter sector k
+    so relabelled.  Sector k holds the pairs of charge k, at most dim of
     them, and U acts on it as a real orthogonal block.  Ordered by n_A, the
     block's generator is skew and tridiagonal, with entry
     angle * sqrt(n_A' max(n_B, n_B')) from (n_A, n_B) to its neighbour
@@ -162,34 +164,30 @@ class _Sectors:
     and kept read-only.
     """
 
-    def __init__(self, kind: str, lambda_a: float, dim: int):
+    def __init__(self, p: MixingParams, dim: int):
         self.dim = dim
-        self.beam_splitter = kind == BEAM_SPLITTER
-        if self.beam_splitter:
-            self.angle = math.atan(math.sqrt((1.0 - lambda_a) / lambda_a))
+        # an involution of 0 .. dim - 1
+        self.label_b = np.arange(dim)[::-1] if p.reversed_b else np.arange(dim)
+        if p.kind == BEAM_SPLITTER:
+            self.angle = math.atan(math.sqrt((1.0 - p.lambda_A) / p.lambda_A))
         else:
-            self.angle = math.atanh(math.sqrt((lambda_a - 1.0) / lambda_a))
+            self.angle = math.atanh(math.sqrt((p.lambda_A - 1.0) / p.lambda_A))
         self.blocks = [None] * (2 * dim - 1)
 
     def charge(self, n_a, n_b):
-        return n_a + n_b if self.beam_splitter else n_a - n_b + self.dim - 1
+        return n_a + self.label_b[n_b]
 
     def live(self, supp_a: np.ndarray, supp_b: np.ndarray) -> np.ndarray:
         """The sectors that hold a pair (n_A, n_B) in both supports."""
-        kernel = supp_b if self.beam_splitter else supp_b[::-1]
-        return np.flatnonzero(np.convolve(supp_a.astype(float), kernel.astype(float)))
+        return np.flatnonzero(np.convolve(supp_a.astype(float),
+                                          supp_b[self.label_b].astype(float)))
 
     def block(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """n_A (ascending), n_B and the block of sector k, built on first use."""
         if self.blocks[k] is None:
             dim = self.dim
-            if self.beam_splitter:
-                n_a = np.arange(max(0, k - dim + 1), min(k, dim - 1) + 1)
-                n_b = k - n_a
-            else:
-                diff = k - dim + 1
-                n_a = np.arange(max(0, diff), min(dim, dim + diff))
-                n_b = n_a - diff
+            n_a = np.arange(max(0, k - dim + 1), min(k, dim - 1) + 1)
+            n_b = self.label_b[k - n_a]
             off = self.angle * np.sqrt(n_a[1:] * np.maximum(n_b[:-1], n_b[1:]))
             import scipy.linalg as sla
             u = sla.expm(np.diag(off, -1) - np.diag(off, 1))
@@ -200,9 +198,9 @@ class _Sectors:
 
 
 @functools.lru_cache(maxsize=8)
-def _sectors(kind: str, lambda_a: float, dim: int) -> _Sectors:
+def _sectors(p: MixingParams, dim: int) -> _Sectors:
     """The sector store: the blocks of the last 8 channels mixed."""
-    return _Sectors(kind, lambda_a, dim)
+    return _Sectors(p, dim)
 
 
 def _eigen_floor(w: np.ndarray, dim: int) -> float:
@@ -318,12 +316,11 @@ def _mix_diagonal(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
             a = x + shift
             rows = x * (dim + 1) + np.where((a >= 0) & (a < dim), a, dim)
         else:           # rows (b, x) of w, columns a in the support of rho_A
-            supp, pop, sigma = np.flatnonzero(supp_a), pop_a, rho_b.rho
+            label = sectors.label_b        # b's label is x + s, and sigma is relabelled
+            supp, pop, sigma = np.flatnonzero(supp_a), pop_a, rho_b.rho[np.ix_(label, label)]
             m = w[:, :, supp].reshape(-1, supp.size)
             b = x + shift
-            if not sectors.beam_splitter:
-                b, sigma = dim - 1 - b, sigma[::-1, ::-1]
-            rows = np.where((b >= 0) & (b < dim), b, dim) * dim + x
+            rows = np.append(label, dim)[np.where((b >= 0) & (b < dim), b, dim)] * dim + x
         g = m[rows] * np.sqrt(pop[supp])       # g[s, x, k], k over the support
         out = _shift_sum(g @ g.transpose(0, 2, 1), sigma)
     return out, joint
@@ -346,9 +343,9 @@ def two_mode_mix(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
       one batched matmul over the diagonal input's support.  rho_B = diag(r)
       gives sigma = rho_A and H_s = sum_b r_b V V^T with V[x] =
       W[y, x, x + s]; rho_A = diag(p) gives H_s[x, x'] =
-      sum_a p_a W[y, x, a] W[y, x', a] at b = x + s (beam splitter,
-      sigma = rho_B) or b = dim - 1 - s - x (amplifier, sigma = rho_B
-      flipped in both indices).  Cost O(dim^3 |support|).
+      sum_a p_a W[y, x, a] W[y, x', a] at the b labelled x + s, with sigma =
+      rho_B relabelled in both indices (see _Sectors).  Cost
+      O(dim^3 |support|).
     - neither: with rho_A = sum_j r_j |phi_j><phi_j| and rho_B =
       sum_k s_k |psi_k><psi_k| (one eigh each), the output is
       sum_jk r_j s_k M_jk M_jk^dag, where M_jk is U (phi_j x psi_k) read as
@@ -363,9 +360,9 @@ def two_mode_mix(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
     if rho_a.dim != rho_b.dim:
         raise DomainError("two_mode_mix needs two states of equal cutoff")
     dim = rho_a.dim
-    if p.kind == BEAM_SPLITTER and p.lambda_A == 0.0:
+    if p.lambda_A == 0.0:        # a beam splitter; an amplifier has lambda_A >= 1
         return rho_b
-    sectors = _sectors(p.kind, p.lambda_A, dim)
+    sectors = _sectors(p, dim)
     if _is_diagonal(rho_a) or _is_diagonal(rho_b):
         out, joint = _mix_diagonal(rho_a, rho_b, sectors)
     else:

@@ -257,7 +257,7 @@ def test_criterion_11_broadcast_region():
         worst = 0.0
         for lam in (0.5, 0.6, 0.7, 0.8, 0.9):
             for n_bar in (1.0, 5.0, 15.0):
-                pts = capacity_region(lam, n_bar, 101)
+                pts = capacity_region(lam, n_bar)
                 assert pts[0].R_C_conjectured == pts[0].R_C_qepi
                 for pt in pts:
                     assert pt.R_C_qepi >= pt.R_C_conjectured - 1e-12

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qepi import files
-from qepi.broadcast import (CapacityPoint, capacity_point, capacity_region,
-                            write_region_csv)
+from qepi.broadcast import (CAPACITY_GRID_SIZE, CapacityPoint, capacity_point,
+                            capacity_region, write_region_csv)
 from qepi.symplectic import DomainError, g
 
 
@@ -31,12 +31,12 @@ def test_qepi_region_contains_conjectured():
     # the proven bound is weaker, so its outer region is larger
     for lam in (0.5, 0.6, 0.75, 0.9):
         for n_bar in (1.0, 5.0, 15.0):
-            for pt in capacity_region(lam, n_bar, 51):
+            for pt in capacity_region(lam, n_bar):
                 assert pt.R_C_qepi >= pt.R_C_conjectured - 1e-12
 
 
 def test_monotone_in_beta():
-    pts = capacity_region(0.7, 5.0, 101)
+    pts = capacity_region(0.7, 5.0)
     r_b = np.array([p.R_B for p in pts])
     r_c = np.array([p.R_C_conjectured for p in pts])
     assert np.all(np.diff(r_b) >= -1e-12)
@@ -47,13 +47,13 @@ def test_bound_gap_is_small():
     worst = 0.0
     for lam in (0.5, 0.6, 0.7, 0.8, 0.9):
         for n_bar in (1.0, 5.0, 15.0):
-            for pt in capacity_region(lam, n_bar, 101):
+            for pt in capacity_region(lam, n_bar):
                 worst = max(worst, pt.R_C_qepi - pt.R_C_conjectured)
     assert worst <= 0.14
 
 
 def test_feasibility_flag():
-    pts = capacity_region(0.5, 4.0, 11)
+    pts = capacity_region(0.5, 4.0)
     assert all(p.feasible for p in pts)
     assert pts[-1].R_C_conjectured == pytest.approx(0.0, abs=1e-12)
 
@@ -65,18 +65,16 @@ def test_domain_errors():
         capacity_point(0.7, -1.0, 0.5)
     with pytest.raises(DomainError):
         capacity_point(0.7, 1.0, 1.5)
-    with pytest.raises(DomainError):
-        capacity_region(0.7, 1.0, 1)
 
 
 def test_region_csv(tmp_path):
-    pts = capacity_region(0.7, 5.0, 11)
+    pts = capacity_region(0.7, 5.0)
     path = tmp_path / "region.csv"
     write_region_csv(path, pts)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["beta", "R_B", "R_C_conj", "R_C_qepi", "feasible"]
-    assert len(rows) == 12
+    assert len(rows) == CAPACITY_GRID_SIZE + 1
     assert float(rows[1][0]) == 0.0
     assert float(rows[-1][0]) == 1.0
     assert rows[1][4] in ("0", "1")
@@ -85,7 +83,7 @@ def test_region_csv(tmp_path):
 
 def test_region_csv_failed_write_leaves_nothing(tmp_path, monkeypatch):
     # neither a partial region.csv nor a .tmp-qepi-* file survives a failure
-    pts = capacity_region(0.7, 5.0, 11)
+    pts = capacity_region(0.7, 5.0)
     path = tmp_path / "region.csv"
     unformattable = CapacityPoint(beta=0.5, R_B=None, R_C_conjectured=0.0, R_C_qepi=0.0)
     with pytest.raises(TypeError):
@@ -112,8 +110,8 @@ def test_array_beta_equals_scalar_calls(lam, n_bar):
         assert (region.beta[k], region.R_B[k], region.R_C_conjectured[k],
                 region.R_C_qepi[k]) == (pt.beta, pt.R_B, pt.R_C_conjectured,
                                         pt.R_C_qepi)
-    assert capacity_region(lam, n_bar, 101) == [capacity_point(lam, n_bar, b)
-                                                for b in betas.tolist()]
+    assert capacity_region(lam, n_bar) == [capacity_point(lam, n_bar, b)
+                                           for b in betas.tolist()]
 
 
 def test_array_beta_domain_error():

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qepi import fock
-from qepi.channels import (AMPLIFIER, MixingParams, add_noise, mix,
-                           time_reversal_matrix, time_reverse)
+from qepi.channels import AMPLIFIER, MixingParams, add_noise, mix
 from qepi.symplectic import (PHYSICALITY_TOL, DomainError, GaussianState,
                              ValidationError, entropy, g, random_gaussian_state,
                              symplectic_eigenvalues)
@@ -25,13 +24,47 @@ def test_mixing_params_validation():
     with pytest.raises(DomainError):
         MixingParams.amplifier(17.0)
     with pytest.raises(DomainError):
-        MixingParams("other", 1.0, 0.0)
+        MixingParams("other", 1.0)
 
 
-def test_time_reversal_matrix_involution():
-    t = time_reversal_matrix(3)
-    assert np.array_equal(t, t.T)
-    assert np.allclose(t @ t, np.eye(6))
+BETWEEN_ZERO_AND_ONE = [0.0, 5e-324, 2.0 ** -53, 0.1, 0.3, 0.5, 0.7, 0.9,
+                        1.0 - 2.0 ** -53, 1.0]
+
+
+def test_beam_splitter_weights_sum_to_one_exactly():
+    # the linear corollary divides by lam_A + lam_B and adds its log, which
+    # keeps the beam splitter's bits only where the sum is 1.0 exactly
+    lam = np.concatenate([np.random.default_rng(21).random(10 ** 5),
+                          BETWEEN_ZERO_AND_ONE])
+    assert np.all(lam + (1.0 - lam) == 1.0)
+    for x in lam[::1000].tolist() + BETWEEN_ZERO_AND_ONE:
+        p = MixingParams.beam_splitter(x)
+        assert p.lambda_B == 1.0 - x and p.lambda_A + p.lambda_B == 1.0
+    for kappa in (1.0, 1.1, 1.5, 2.0, 4.0, 16.0):
+        assert MixingParams.amplifier(kappa).lambda_B == kappa - 1.0
+
+
+def _time_reversal(n: int) -> np.ndarray:
+    """T: +1 on every Q quadrature and -1 on every P quadrature."""
+    return np.diag(np.tile([1.0, -1.0], n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("params", [MixingParams.beam_splitter(0.3),
+                                    MixingParams.amplifier(1.5),
+                                    MixingParams.amplifier(16.0)])
+def test_mix_is_the_written_out_time_reversed_sum(n, params):
+    # gamma_C = lam_A gamma_A + lam_B T gamma_B T, T = I for the beam splitter
+    t = _time_reversal(n) if params.kind == AMPLIFIER else np.eye(2 * n)
+    for seed in range(10):
+        a = random_gaussian_state(n, 2 * seed, nu_max=6.0, r_max=1.2)
+        b = random_gaussian_state(n, 2 * seed + 1, nu_max=6.0, r_max=1.2)
+        want = params.lambda_A * a.gamma + params.lambda_B * (t @ b.gamma @ t)
+        assert mix(a, b, params).gamma.tobytes() == want.tobytes()
+        # T is an involution and leaves the entropy unchanged
+        reversed_b = GaussianState(n, t @ b.gamma @ t)
+        assert np.array_equal(t @ reversed_b.gamma @ t, b.gamma)
+        assert entropy(reversed_b) == pytest.approx(entropy(b), abs=1e-10)
 
 
 def test_mix_vacuum_fixed_point():
@@ -140,15 +173,6 @@ def test_displacement_mixes_with_weights():
             assert distance(-s) > 0.1, (p.kind, direction)
 
 
-def test_time_reverse_involution_and_entropy():
-    thermal = GaussianState.thermal(2.0)
-    assert np.array_equal(time_reverse(thermal).gamma, thermal.gamma)
-    state = random_gaussian_state(1, 41, nu_max=5.0, r_max=1.2)
-    twice = time_reverse(time_reverse(state))
-    assert np.array_equal(twice.gamma, state.gamma)
-    assert entropy(time_reverse(state)) == pytest.approx(entropy(state), abs=1e-10)
-
-
 @pytest.mark.parametrize("params", [MixingParams.beam_splitter(0.3),
                                     MixingParams.amplifier(1.5)])
 def test_channels_broadcast_over_stacks(params):
@@ -158,11 +182,10 @@ def test_channels_broadcast_over_stacks(params):
          for seed in range(5)]
     stack_a = GaussianState(1, [s.gamma for s in a])
     stack_b = GaussianState(1, [s.gamma for s in b])
-    mixed, reversed_ = mix(stack_a, stack_b, params), time_reverse(stack_a)
+    mixed = mix(stack_a, stack_b, params)
     for k in range(5):
         row = mix(a[k], b[k], params)
         assert np.array_equal(mixed.gamma[k], row.gamma)
-        assert np.array_equal(reversed_.gamma[k], time_reverse(a[k]).gamma)
     # one state against a stack broadcasts the single state
     assert np.array_equal(mix(a[0], stack_b, params).gamma[3],
                           mix(a[0], b[3], params).gamma)

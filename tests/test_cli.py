@@ -307,7 +307,7 @@ def test_figures_csv_bytes_match_csv_writer(tmp_path):
     assert (tmp_path / "moe_bounds.csv").read_bytes() == _csv_writer_bytes(rows)
 
     rows = [["beta", "R_B", "R_C_conj", "R_C_qepi", "feasible"]]
-    for pt in capacity_region(0.8, 15.0, grid_size=101):
+    for pt in capacity_region(0.8, 15.0):
         rows.append([f"{pt.beta:.10g}", f"{pt.R_B:.12g}", f"{pt.R_C_conjectured:.12g}",
                      f"{pt.R_C_qepi:.12g}", int(pt.feasible)])
     assert (tmp_path / "region.csv").read_bytes() == _csv_writer_bytes(rows)

@@ -8,7 +8,8 @@ import pytest
 from qepi import fock
 from qepi.broadcast import capacity_point
 from qepi.channels import MixingParams, add_noise
-from qepi.inequalities import asymptotic_check, epni_gap, linear_check, qepi_check
+from qepi.inequalities import (asymptotic_check, epni_gap, linear_check, optimal_weights,
+                               qepi_check, stam_check, weighted_fisher_check)
 from qepi.symplectic import (LOG_FLOAT_MAX, DomainError, GaussianState, entropy_power, g,
                              random_gaussian_state, require)
 
@@ -93,11 +94,25 @@ LIBRARY_CALLS = {
     "GaussianState.thermal inf": lambda: GaussianState.thermal(INF),
     "add_noise nan": lambda: add_noise(GaussianState.vacuum(), NAN),
     "add_noise inf in array": lambda: add_noise(GaussianState.vacuum(), [0.5, INF]),
-    "MixingParams nan lambda_B": lambda: MixingParams("beam_splitter", 0.5, NAN),
-    "MixingParams nan amplifier lambda_B": lambda: MixingParams("amplifier", 2.0, NAN),
+    "MixingParams nan transmissivity": lambda: MixingParams("beam_splitter", NAN),
+    "MixingParams nan gain": lambda: MixingParams("amplifier", NAN),
     "qepi_check nan": lambda: qepi_check(NAN, 1.0, 1.0, 1, BS),
     "linear_check nan": lambda: linear_check(1.0, NAN, 1.0, 1, BS),
     "epni_gap nan": lambda: epni_gap(NAN, 1.0, 1.0, 0.5),
+    "stam_check nan J": lambda: stam_check(NAN, 1.0, 1.0, BS),
+    "stam_check inf J": lambda: stam_check(1.0, INF, 1.0, BS),
+    "stam_check nan J in array": lambda: stam_check([1.0, 2.0], 1.0, [1.0, NAN], BS),
+    "stam_check nan J beside a zero": lambda: stam_check(NAN, 0.0, 1.0, BS),
+    "weighted_fisher_check nan J":
+        lambda: weighted_fisher_check(1.0, NAN, 1.0, 0.5, 0.5, BS),
+    "weighted_fisher_check inf J":
+        lambda: weighted_fisher_check(1.0, 1.0, INF, 0.5, 0.5, BS),
+    "weighted_fisher_check nan weight":
+        lambda: weighted_fisher_check(1.0, 1.0, 1.0, NAN, 0.5, BS),
+    "weighted_fisher_check inf weight":
+        lambda: weighted_fisher_check(1.0, 1.0, 1.0, 0.5, -INF, BS),
+    "optimal_weights nan J": lambda: optimal_weights(NAN, 1.0, BS),
+    "optimal_weights inf J": lambda: optimal_weights(1.0, INF, BS),
     "entropy_power nan": lambda: entropy_power(NAN, 1),
     "entropy_power overflow": lambda: entropy_power(2.0 * LOG_FLOAT_MAX, 1),
     "random_gaussian_state nan nu_max": lambda: random_gaussian_state(1, 0, nu_max=NAN),

@@ -174,6 +174,17 @@ def test_stam_amplifier_example():
         stam_check(0.0, j_b, j_c, MixingParams.amplifier(2.0))
 
 
+@pytest.mark.parametrize("j", [0.0, -1.0])
+def test_fisher_checks_refuse_a_fisher_information_not_positive(j):
+    p = MixingParams.amplifier(2.0)
+    for call in (lambda: stam_check(1.0, [1.0, j], 1.0, p),
+                 lambda: weighted_fisher_check(1.0, 1.0, j, 0.5, 0.5, p),
+                 lambda: optimal_weights(j, 1.0, p),
+                 lambda: optimal_weights(1.0, j, p)):
+        with pytest.raises(DivergenceError, match="strictly positive Fisher informations"):
+            call()
+
+
 def test_weighted_fisher_zero_weights():
     rep = weighted_fisher_check(1.0, 2.0, 3.0, 0.0, 0.0,
                                 MixingParams.beam_splitter(0.5))

@@ -289,7 +289,7 @@ def test_two_mode_mix_matches_dense_reference(params, dim):
     for name, (a, b) in pairs.items():
         warm = fock.two_mode_mix(a, b, params, leak_tol=1.0)
         assert np.array_equal(warm.rho, cold[name].rho), name
-    store = fock._sectors(params.kind, params.lambda_A, dim)
+    store = fock._sectors(params, dim)
     blocks = [array for block in store.blocks if block is not None for array in block]
     assert blocks and not any(array.flags.writeable for array in blocks)
 

@@ -68,6 +68,28 @@ def test_linear_amplifier_example():
     assert rep.rhs == pytest.approx(math.log(3.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("params", [MixingParams.beam_splitter(lam) for lam in
+                                    (0.0, 5e-324, 0.1, 0.3, 0.5, 0.7, 0.9,
+                                     1.0 - 2.0 ** -53, 1.0)]
+                         + [MixingParams.amplifier(kappa) for kappa in
+                            (1.0, 1.1, 1.5, 2.0, 4.0, 16.0)])
+def test_linear_check_is_the_written_out_family_formula(params):
+    # the one corollary (lam_A S_A + lam_B S_B) / W + ln W keeps each family's bits
+    rng = np.random.default_rng(11)
+    s_a, s_b, s_c = np.concatenate([np.zeros((3, 1)), rng.random((3, 500)) * 5.0], axis=1)
+    lam = params.lambda_A
+    if params.kind == "beam_splitter":
+        want = lam * s_a + (1.0 - lam) * s_b
+    else:
+        total = lam + (lam - 1.0)
+        want = (lam * s_a + (lam - 1.0) * s_b) / total + math.log(total)
+    rep = linear_check(s_a, s_b, s_c, 1, params)
+    assert rep.rhs.tobytes() == want.tobytes()
+    assert rep.slack.tobytes() == (s_c - want).tobytes()
+    scalar = linear_check(float(s_a[7]), float(s_b[7]), float(s_c[7]), 1, params)
+    assert (scalar.rhs, scalar.slack) == (want[7], s_c[7] - want[7])
+
+
 def test_epni_gap_thermal_exact():
     # thermal inputs make the photon numbers combine linearly: gap = 0
     rep = epni_gap(1.0, 2.0, 0.4 * 1.0 + 0.6 * 2.0, 0.4)
