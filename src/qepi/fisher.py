@@ -3,7 +3,11 @@
 Route 1 (Gaussian): J = 4 dS/dt along the additive-noise flow, from the
 closed-form Gaussian entropy (de Bruijn identity).
 Route 2 (Fock): J per direction as the second derivative of the relative
-entropy S(rho || rho_theta) at theta = 0, by finite differences.
+entropy S(rho || rho_theta) at theta = 0, by finite differences: eight
+translations (+-h and +-h/2 along q and p) and eight relative entropies
+per state.  The state's one eigh, kept on it, serves the rank check and
+every relative entropy; each translation is a product with exp(i theta Q)
+in the eigenbasis of the truncated Q, one eigh per cutoff.
 """
 
 from __future__ import annotations
@@ -81,9 +85,11 @@ def fisher_direction_fock(rho: fock.FockDensityMatrix, direction: str) -> float:
     J = d^2/dtheta^2 S(rho || rho_theta) at 0; since the relative entropy
     vanishes at theta = 0, the second central difference reduces to
     [S(rho||rho_h) + S(rho||rho_-h)] / h^2, Richardson-extrapolated over
-    h = FOCK_STEP and h/2.
+    h = FOCK_STEP and h/2.  rho is decomposed once: its eigh, kept on the
+    state, gives the rank check here and rho's side of all four relative
+    entropies.
     """
-    evs = np.linalg.eigvalsh(rho.rho)
+    evs = rho.eigensystem[0]
     if evs[0] < FULL_RANK_EIG_TOL:
         raise DivergenceError(
             f"rank-deficient state (min eigenvalue {evs[0]:.3e}); "

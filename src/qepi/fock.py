@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .channels import BEAM_SPLITTER, MixingParams
 from .symplectic import DomainError, NumericError, require
@@ -45,6 +45,13 @@ class AccuracyError(NumericError):
 
 @dataclass(frozen=True)
 class FockDensityMatrix:
+    """A density matrix on dim Fock levels, read-only once built.
+
+    Since rho cannot change, its decompositions are kept the first time
+    they are asked for: `spectrum` (eigvalsh, which validation computes)
+    and `eigensystem` (eigh).
+    """
+
     dim: int            # Fock dimension, read from the shape of rho
     rho: np.ndarray     # dim x dim complex Hermitian
 
@@ -63,9 +70,25 @@ class FockDensityMatrix:
             evs = np.linalg.eigvalsh(rho)
             if evs[0] < EIGENVALUE_FLOOR:
                 raise NumericError(f"negative eigenvalue {evs[0]:.3e}")
+            evs.flags.writeable = False
+            object.__setattr__(self, "spectrum", evs)
         rho.flags.writeable = False
         object.__setattr__(self, "dim", rho.shape[0])
         object.__setattr__(self, "rho", rho)
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalues of rho by eigvalsh, ascending."""
+        evs = np.linalg.eigvalsh(self.rho)
+        evs.flags.writeable = False
+        return evs
+
+    @functools.cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, v) = eigh(rho): ascending eigenvalues and eigenvectors as columns."""
+        w, v = np.linalg.eigh(self.rho)
+        w.flags.writeable = v.flags.writeable = False
+        return w, v
 
 
 def ladder(dim: int) -> np.ndarray:
@@ -84,13 +107,21 @@ def quadratures(dim: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # state constructors
 
+def _require_integer(name: str, value, low: int) -> int:
+    """value as an int if it is a whole number >= low, a numpy scalar too; else DomainError."""
+    require(name, value, low)
+    if value != int(value):
+        raise DomainError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def vacuum_state(dim: int) -> FockDensityMatrix:
     return fock_state(0, dim)
 
 
 def fock_state(k: int, dim: int) -> FockDensityMatrix:
-    require("cutoff", dim, 1)
-    require("Fock level", k, 0)
+    dim = _require_integer("cutoff", dim, 1)
+    k = _require_integer("Fock level", k, 0)
     if k >= dim:
         raise CutoffError(f"Fock level {k} does not fit below cutoff {dim}")
     rho = np.zeros((dim, dim), dtype=complex)
@@ -99,7 +130,7 @@ def fock_state(k: int, dim: int) -> FockDensityMatrix:
 
 
 def thermal_state(mean_photons: float, dim: int) -> FockDensityMatrix:
-    require("cutoff", dim, 1)
+    dim = _require_integer("cutoff", dim, 1)
     require("mean photon number", mean_photons, 0.0)
     if mean_photons == 0:
         return vacuum_state(dim)
@@ -114,7 +145,7 @@ def thermal_state(mean_photons: float, dim: int) -> FockDensityMatrix:
 
 
 def coherent_state(alpha: complex, dim: int) -> FockDensityMatrix:
-    require("cutoff", dim, 1)
+    dim = _require_integer("cutoff", dim, 1)
     require("|alpha|", abs(alpha), 0.0)
     from scipy.special import gammaln
     n = np.arange(dim)
@@ -134,7 +165,7 @@ def squeezed_thermal_state(r: float, mean_photons: float, dim: int) -> FockDensi
     require("r", r)
     import scipy.linalg as sla
     base = thermal_state(mean_photons, dim)
-    a = ladder(dim)
+    a = ladder(base.dim)
     squeezer = sla.expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
     rho = squeezer @ base.rho @ squeezer.conj().T
     rho /= np.trace(rho).real
@@ -161,7 +192,8 @@ class _Sectors:
     block's generator is skew and tridiagonal, with entry
     angle * sqrt(n_A' max(n_B, n_B')) from (n_A, n_B) to its neighbour
     (n_A', n_B') = (n_A + 1, n_B -+ 1).  Each block is built on first use
-    and kept read-only.
+    and kept read-only.  The first mix with one Fock-diagonal input also
+    allocates the dense W of dense(), which every block then fills.
     """
 
     def __init__(self, p: MixingParams, dim: int):
@@ -173,6 +205,7 @@ class _Sectors:
         else:
             self.angle = math.atanh(math.sqrt((p.lambda_A - 1.0) / p.lambda_A))
         self.blocks = [None] * (2 * dim - 1)
+        self.w = None       # the dense W, see dense()
 
     def charge(self, n_a, n_b):
         return n_a + self.label_b[n_b]
@@ -194,12 +227,37 @@ class _Sectors:
             for array in (n_a, n_b, u):
                 array.flags.writeable = False
             self.blocks[k] = (n_a, n_b, u)
+            if self.w is not None:
+                self._fill(k)
         return self.blocks[k]
+
+    def _fill(self, k: int) -> None:
+        n_a, n_b, u = self.blocks[k]
+        self.w[n_b, n_a[0]:n_a[-1] + 1, n_a] = u.T
+
+    def dense(self, live: np.ndarray) -> np.ndarray:
+        """W[b, x, a] = <x, y|U|a, b>, y fixed by the charge, over every built sector.
+
+        W is dim^3 doubles, zero outside the built sectors.  It is allocated
+        on the first call, filled from the blocks built so far and then by
+        each block as it is built; the live sectors are built here.
+        Returned read-only.
+        """
+        if self.w is None:
+            self.w = np.zeros((self.dim, self.dim, self.dim))
+            for k, block in enumerate(self.blocks):
+                if block is not None:
+                    self._fill(k)
+        for k in [k for k in live if self.blocks[k] is None]:
+            self.block(k)
+        view = self.w.view()
+        view.flags.writeable = False
+        return view
 
 
 @functools.lru_cache(maxsize=8)
 def _sectors(p: MixingParams, dim: int) -> _Sectors:
-    """The sector store: the blocks of the last 8 channels mixed."""
+    """The sector store: the blocks, and W once needed, of the last 8 channels mixed."""
     return _Sectors(p, dim)
 
 
@@ -214,7 +272,7 @@ def _pure_components(rho: FockDensityMatrix) -> np.ndarray:
     Weights at or below _eigen_floor are dropped; their mass reappears as
     trace deficit in the leak gate of two_mode_mix.
     """
-    w, v = np.linalg.eigh(rho.rho)
+    w, v = rho.eigensystem
     keep = w > _eigen_floor(w, rho.dim)
     return v[:, keep] * np.sqrt(w[keep])
 
@@ -239,8 +297,8 @@ def _populations(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray, bool]:
 
 
 def _mix_components(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
-                    sectors: _Sectors) -> tuple[np.ndarray, np.ndarray]:
-    """Output and joint output populations from the pure components.
+                    sectors: _Sectors) -> tuple[np.ndarray, float, float]:
+    """Output, kept and top-layer population from the pure components.
 
     The product vectors phi_j x psi_k are laid out in charge order, about
     2 dim at a time, so each sector is a contiguous row slice rotated by its
@@ -271,59 +329,87 @@ def _mix_components(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
         m = vecs[inverse].reshape(dim, -1)
         acc = zherk(1.0, m.T, beta=1.0, c=acc, trans=2, overwrite_c=1)
     out = np.triu(acc).conj() + np.triu(acc, 1).T      # acc: conj(rho), upper triangle
-    return out, joint[inverse].reshape(dim, dim)
+    return out, *_layer_sums(joint[inverse].reshape(dim, dim))
+
+
+def _layer_sums(joint: np.ndarray) -> tuple[float, float]:
+    """Total and top-layer population (n_A or n_B = dim - 1) of joint[n_A, n_B]."""
+    return (float(joint.sum()),
+            float(joint[-1, :].sum() + joint[:, -1].sum() - joint[-1, -1]))
 
 
 def _shift_sum(h: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """sum_s h[s] * sigma[x + s, x' + s] over the shifts s = 1 - dim .. dim - 1."""
+    """sum_s h[s] * sigma~_s for s = 0 .. dim - 1, see _mix_diagonal.
+
+    sigma~_s[x, x'] is window (s, s) of diag(sigma, sigma): sigma[x + s,
+    x' + s] when x + s and x' + s are both below dim, sigma[x + s - dim,
+    x' + s - dim] when neither is, and 0 otherwise.  The real and
+    imaginary parts sit in one array, which a strided view reads as the
+    windows; two real contractions with h give the sum.
+    """
     dim = sigma.shape[0]
-    pad = np.zeros((3 * dim - 2, 3 * dim - 2), dtype=complex)
-    pad[dim - 1:2 * dim - 1, dim - 1:2 * dim - 1] = sigma
-    # window (k, k) of pad is sigma shifted by s = k + 1 - dim
-    shifted = sliding_window_view(pad, (dim, dim)).diagonal().transpose(2, 0, 1)
-    return (h * shifted).sum(axis=0)
+    pad = np.zeros((2, 2 * dim, 2 * dim))
+    pad[:, :dim, :dim] = pad[:, dim:, dim:] = sigma.real, sigma.imag
+    part, row, col = pad.strides
+    windows = as_strided(pad, (2, dim, dim, dim), (part, row + col, row, col),
+                         writeable=False)
+    re, im = np.einsum("sij,csij->cij", h, windows)
+    return re + 1j * im
 
 
 def _mix_diagonal(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
-                  sectors: _Sectors) -> tuple[np.ndarray, np.ndarray]:
-    """Output and joint output populations when an input is Fock-diagonal.
+                  sectors: _Sectors) -> tuple[np.ndarray, float, float]:
+    """Output, kept and top-layer population when an input is Fock-diagonal.
 
     The joint output populations need only the inputs' diagonals, since U
-    conserves the charge; they are the output itself when both inputs are
-    diagonal.  With one diagonal input the output is a sum of shifted
-    copies of the other, see two_mode_mix.
+    conserves the charge.  With both inputs diagonal they are built sector
+    by sector and are the output itself.  With one diagonal input the
+    output is a sum of shifted copies of the other (see two_mode_mix),
+    taken from the channel's dense W, and the populations enter only the
+    leak gate, as contractions of P = p x r with dim x dim weights from W^2.
+
+    The 2 dim - 1 shifts fold into dim.  For 0 < s < dim, shift s reads
+    only the rows x < dim - s (where x + s < dim) and shift s - dim only the
+    rows x >= dim - s, so fold s takes row x from whichever of the two reads
+    it, at t = x + s (mod dim); its sigma~_s keeps the two shifts' blocks
+    apart (see _shift_sum).
     """
     dim = rho_a.dim
     pop_a, supp_a, diag_a = _populations(rho_a)
     pop_b, supp_b, diag_b = _populations(rho_b)
     live = sectors.live(supp_a, supp_b)
-    joint = np.outer(pop_a, pop_b)     # input populations, then output ones
-    # w[b, x, a] = <x, y|U|a, b>, with a zero slab at b = dim and at a = dim
-    w = None if diag_a and diag_b else np.zeros((dim + 1, dim, dim + 1))
-    for k in live:
-        n_a, n_b, u = sectors.block(k)
-        joint[n_a, n_b] = (u * u) @ joint[n_a, n_b]
-        if w is not None:
-            w[n_b, n_a[0]:n_a[-1] + 1, n_a] = u.T
-    x = np.arange(dim)
-    shift = np.arange(1 - dim, dim)[:, None]
     if diag_a and diag_b:
-        out = np.diag(joint.sum(axis=1)).astype(complex)
-    else:
-        if diag_b:      # rows (x, a = x + s) of w, columns b in the support of rho_B
-            supp, pop, sigma = np.flatnonzero(supp_b), pop_b, rho_a.rho
-            m = w[supp].transpose(1, 2, 0).reshape(-1, supp.size)
-            a = x + shift
-            rows = x * (dim + 1) + np.where((a >= 0) & (a < dim), a, dim)
-        else:           # rows (b, x) of w, columns a in the support of rho_A
-            label = sectors.label_b        # b's label is x + s, and sigma is relabelled
-            supp, pop, sigma = np.flatnonzero(supp_a), pop_a, rho_b.rho[np.ix_(label, label)]
-            m = w[:, :, supp].reshape(-1, supp.size)
-            b = x + shift
-            rows = np.append(label, dim)[np.where((b >= 0) & (b < dim), b, dim)] * dim + x
-        g = m[rows] * np.sqrt(pop[supp])       # g[s, x, k], k over the support
-        out = _shift_sum(g @ g.transpose(0, 2, 1), sigma)
-    return out, joint
+        joint = np.outer(pop_a, pop_b)     # input populations, then output ones
+        for k in live:
+            n_a, n_b, u = sectors.block(k)
+            joint[n_a, n_b] = (u * u) @ joint[n_a, n_b]
+        return np.diag(joint.sum(axis=1)).astype(complex), *_layer_sums(joint)
+    w = sectors.dense(live)
+    label = sectors.label_b
+    x = np.arange(dim)
+    t = (x + x[:, None]) % dim                      # t[s, x] = x + s (mod dim)
+    # g[s, x, k] over the levels k from the first to the last in the
+    # diagonal input's support (a view of W), sqrt(0) = 0 in between
+    supp = np.flatnonzero(supp_b if diag_b else supp_a)
+    span = slice(supp[0], supp[-1] + 1)
+    if diag_b:      # g[s, x, b] = sqrt(r_b) W[b, x, t]
+        sigma = rho_a.rho
+        g = w.reshape(dim, dim * dim)[span].take(x * dim + t, axis=1)
+        g *= np.sqrt(pop_b[span])[:, None, None]
+        g = g.transpose(1, 2, 0)
+    else:           # g[s, x, a] = sqrt(p_a) W[b, x, a] with b labelled t
+        sigma = rho_b.rho[np.ix_(label, label)]
+        g = w.reshape(dim * dim, dim)[:, span].take(label[t] * dim + x, axis=0)
+        g *= np.sqrt(pop_a[span])
+    out = _shift_sum(g @ g.transpose(0, 2, 1), sigma)
+    # pair (a, b) reaches (x, y = dim - 1) at x = a + label[b] - label[dim - 1]
+    pops = np.outer(pop_b, pop_a)                   # [b, a]
+    x_top = x + (label - label[-1])[:, None]
+    edge = (x_top >= 0) & (x_top < dim - 1)         # y's top layer, x's left out
+    at_y = w.take((x[:, None] * dim + np.where(edge, x_top, 0)) * dim + x)
+    top = np.square(w[:, -1, :]) + np.where(edge, np.square(at_y), 0.0)
+    kept = np.einsum("bxa,bxa->ba", w, w)
+    return out, float(np.vdot(kept, pops)), float(np.vdot(top, pops))
 
 
 def two_mode_mix(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
@@ -332,20 +418,21 @@ def two_mode_mix(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
 
     U is block-diagonal by charge (see _Sectors); the blocks of the sectors
     the inputs populate come from a store kept per channel.  Write
-    W[y, x, a] = <x, y|U|a, b>, with b fixed by the charge.  The contraction
+    W[b, x, a] = <x, y|U|a, b>, with y fixed by the charge.  The contraction
     follows the inputs' structure:
 
     - both Fock-diagonal (populations p, r): the output is diagonal,
-      rho_C[x, x] = sum_{y, a} W[y, x, a]^2 p_a r_b, which is sum_q |U_q|^2
+      rho_C[x, x] = sum_{a, b} W[b, x, a]^2 p_a r_b, which is sum_q |U_q|^2
       (p x r)_q per sector, marginalised.  Cost O(dim^3).
-    - one diagonal: rho_C = sum_s H_s * sigma[x + s, x' + s] over at most
-      2 dim - 1 shifts, with sigma the other input and H_s real symmetric,
-      one batched matmul over the diagonal input's support.  rho_B = diag(r)
-      gives sigma = rho_A and H_s = sum_b r_b V V^T with V[x] =
-      W[y, x, x + s]; rho_A = diag(p) gives H_s[x, x'] =
-      sum_a p_a W[y, x, a] W[y, x', a] at the b labelled x + s, with sigma =
-      rho_B relabelled in both indices (see _Sectors).  Cost
-      O(dim^3 |support|).
+    - one diagonal: rho_C = sum_s H_s * sigma[x + s, x' + s] over the
+      shifts s = 1 - dim .. dim - 1, with sigma the other input and H_s
+      real symmetric.  rho_B = diag(r) gives sigma = rho_A and H_s[x, x'] =
+      sum_b r_b W[b, x, x + s] W[b, x', x' + s]; rho_A = diag(p) gives
+      H_s[x, x'] = sum_a p_a W[b, x, a] W[b', x', a], with b and b'
+      labelled x + s and x' + s and sigma = rho_B relabelled in both
+      indices (see _Sectors).  The store keeps W densely for this route;
+      the shifts fold into dim batched products (see _mix_diagonal).  Cost
+      O(dim^3 n), n the span of the diagonal input's support.
     - neither: with rho_A = sum_j r_j |phi_j><phi_j| and rho_B =
       sum_k s_k |psi_k><psi_k| (one eigh each), the output is
       sum_jk r_j s_k M_jk M_jk^dag, where M_jk is U (phi_j x psi_k) read as
@@ -364,12 +451,10 @@ def two_mode_mix(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
         return rho_b
     sectors = _sectors(p, dim)
     if _is_diagonal(rho_a) or _is_diagonal(rho_b):
-        out, joint = _mix_diagonal(rho_a, rho_b, sectors)
+        out, kept, top = _mix_diagonal(rho_a, rho_b, sectors)
     else:
-        out, joint = _mix_components(rho_a, rho_b, sectors)
-    top = float(joint[-1, :].sum() + joint[:, -1].sum() - joint[-1, -1])
-    tr_def = abs(1.0 - float(joint.sum()))
-    leak = top + tr_def
+        out, kept, top = _mix_components(rho_a, rho_b, sectors)
+    leak = top + abs(1.0 - kept)
     if leak > leak_tol:
         raise CutoffError(f"mixing leak {leak:.3e} exceeds {leak_tol} at cutoff {dim}",
                           leak=leak)
@@ -398,7 +483,7 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
 
 def vn_entropy(rho: FockDensityMatrix) -> float:
     """-Tr[rho ln rho] in nats."""
-    evs = _clean_spectrum(np.linalg.eigvalsh(rho.rho), "vn_entropy")
+    evs = _clean_spectrum(rho.spectrum, "vn_entropy")
     # 0.0 - 0.0 is 0.0 where -0.0 would be a pure state's negated sum
     return 0.0 - float(np.sum(_xlogx(evs)))
 
@@ -407,8 +492,8 @@ def relative_entropy(rho: FockDensityMatrix, sigma: FockDensityMatrix) -> float:
     """Tr[rho (ln rho - ln sigma)]; +inf outside sigma's support."""
     if rho.rho.shape != sigma.rho.shape:
         raise DomainError("shape mismatch in relative entropy")
-    p, up = np.linalg.eigh(rho.rho)
-    q, uq = np.linalg.eigh(sigma.rho)
+    p, up = rho.eigensystem
+    q, uq = sigma.eigensystem
     p = _clean_spectrum(p, "relative_entropy")
     q = _clean_spectrum(q, "relative_entropy")
     overlap = np.abs(up.conj().T @ uq) ** 2      # overlap[i, j] = |<p_i|q_j>|^2
@@ -461,20 +546,33 @@ def liouville_evolve(rho: FockDensityMatrix, t: float) -> FockDensityMatrix:
     return FockDensityMatrix(out, validate=True)
 
 
+@functools.lru_cache(maxsize=8)
+def _q_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and real orthonormal eigenvectors of the truncated Q, read-only."""
+    q, v = np.linalg.eigh(quadratures(dim)[0].real)
+    q.flags.writeable = v.flags.writeable = False
+    return q, v
+
+
 def displace_fock(rho: FockDensityMatrix, direction: str,
                   theta: float) -> FockDensityMatrix:
     """Conjugate by the phase-space translation D_R(theta).
 
     direction "q" shifts <Q> by +theta (unitary exp(-i theta P)),
-    direction "p" shifts <P> by +theta (unitary exp(+i theta Q)).
+    direction "p" shifts <P> by +theta (unitary exp(+i theta Q)).  Both
+    come from one eigenbasis V of the truncated Q per cutoff:
+    exp(i theta Q) = V exp(i theta q) V^T, and P = -R^dag Q R with
+    R = diag(i^n) holds exactly after truncation, so
+    exp(-i theta P) = R^dag exp(i theta Q) R.
     """
     if direction not in ("q", "p"):
         raise DomainError(f"direction must be 'q' or 'p', got {direction!r}")
     require("theta", theta)
-    import scipy.linalg as sla
-    q1, p1 = quadratures(rho.dim)
-    gen = -1j * theta * p1 if direction == "q" else 1j * theta * q1
-    u = sla.expm(gen)
+    q, v = _q_eigenbasis(rho.dim)
+    u = (v * np.exp(1j * theta * q)) @ v.T
+    if direction == "q":
+        r = np.array([1, 1j, -1, -1j])[np.arange(rho.dim) % 4]      # i^n, exactly
+        u = r.conj()[:, None] * u * r
     out = u @ rho.rho @ u.conj().T
     fdm = FockDensityMatrix(out, validate=True)
     leak = trace_leak(fdm)

@@ -86,6 +86,12 @@ LIBRARY_CALLS = {
     "fock squeezed_thermal_state nan r": lambda: fock.squeezed_thermal_state(NAN, 0.5, 20),
     "fock fock_state cutoff 0": lambda: fock.fock_state(0, 0),
     "fock fock_state level -1": lambda: fock.fock_state(-1, 10),
+    "fock vacuum_state cutoff 7.9": lambda: fock.vacuum_state(7.9),
+    "fock fock_state level 1.5": lambda: fock.fock_state(1.5, 10),
+    "fock thermal_state cutoff 60.5": lambda: fock.thermal_state(1.0, 60.5),
+    "fock coherent_state cutoff 20.5": lambda: fock.coherent_state(0.5, 20.5),
+    "fock squeezed_thermal_state cutoff 40.5":
+        lambda: fock.squeezed_thermal_state(0.1, 0.5, 40.5),
     "fock liouville_evolve nan": lambda: fock.liouville_evolve(fock.thermal_state(1.0, 30),
                                                                NAN),
     "fock displace_fock nan": lambda: fock.displace_fock(fock.thermal_state(1.0, 30), "q",
@@ -128,3 +134,21 @@ def test_library_refuses_bad_argument(call):
     with pytest.raises(DomainError):
         LIBRARY_CALLS[call]()
 
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: fock.vacuum_state(7.9), "cutoff"),
+    (lambda: fock.fock_state(1.5, 10), "Fock level"),
+    (lambda: fock.thermal_state(1.0, 60.5), "cutoff"),
+    (lambda: fock.coherent_state(0.5, 20.5), "cutoff")])
+def test_fock_cutoffs_and_levels_must_be_integers(call, name):
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+def test_fock_constructors_take_numpy_integers():
+    dim, level = np.int64(12), np.int32(3)
+    for state in (fock.vacuum_state(dim), fock.fock_state(level, dim),
+                  fock.thermal_state(0.2, dim), fock.coherent_state(0.5, dim)):
+        assert state.dim == 12 and type(state.dim) is int
+    assert fock.fock_state(level, dim).rho[3, 3] == 1.0

@@ -220,3 +220,66 @@ def test_weighted_fisher_random_gaussian_pairs():
         w_a, w_b = rng.normal(size=2)
         assert weighted_fisher_check(j_a, j_b, j_c, w_a, w_b, p).holds
 
+
+
+def _expm_route_total(rho):
+    """Reference: the Fock route with a rank check by eigvalsh and dense-expm translations."""
+    import scipy.linalg as sla
+    if np.linalg.eigvalsh(rho.rho)[0] < fisher.FULL_RANK_EIG_TOL:
+        raise DivergenceError("rank-deficient state")
+    q1, p1 = fock.quadratures(rho.dim)
+
+    def translated(direction, theta):
+        u = sla.expm(-1j * theta * p1 if direction == "q" else 1j * theta * q1)
+        out = fock.FockDensityMatrix(u @ rho.rho @ u.conj().T)
+        if fock.trace_leak(out) > fock.LEAK_TOL:
+            raise fock.CutoffError("displacement leak")
+        return out
+
+    total = 0.0
+    for direction in ("q", "p"):
+        def second_diff(step):
+            return (fock.relative_entropy(rho, translated(direction, step))
+                    + fock.relative_entropy(rho, translated(direction, -step))) / step ** 2
+        j_h, j_h2 = second_diff(fisher.FOCK_STEP), second_diff(fisher.FOCK_STEP / 2.0)
+        j = (4.0 * j_h2 - j_h) / 3.0
+        if j > 1e-12 and abs(j_h2 - j_h) / 3.0 > fisher.EXTRAPOLATION_REL_TOL * abs(j):
+            raise fock.AccuracyError("finite-difference extrapolation disagreement")
+        total += max(j, 0.0)
+    return total
+
+
+def _verdict(route, rho):
+    try:
+        return route(rho)
+    except (DivergenceError, fock.AccuracyError, fock.CutoffError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("make", [lambda: fock.thermal_state(1.0, 30),
+                                  lambda: fock.squeezed_thermal_state(0.1, 1.4, 40),
+                                  lambda: fock.thermal_state(2.0, 60)])
+def test_fock_route_matches_expm_route(make):
+    got, want = _verdict(fisher_total_fock, make()), _verdict(_expm_route_total, make())
+    if isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-9)
+    else:
+        assert got is want
+
+
+def test_fock_route_decomposes_the_state_once(monkeypatch):
+    states = [fock.thermal_state(1.0, FISHER_DIMS[1.0]), fock.thermal_state(0.9, 30)]
+    seen = {"eigh": [], "eigvalsh": []}
+    for name, calls in seen.items():
+        def counted(a, *rest, _original=getattr(np.linalg, name), _calls=calls, **kwargs):
+            _calls.append(a)
+            return _original(a, *rest, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    fock._q_eigenbasis.cache_clear()
+    for rho in states:
+        fisher_total_fock(rho)
+        assert sum(a is rho.rho for a in seen["eigh"]) == 1
+        assert not any(a is rho.rho for a in seen["eigvalsh"])
+    # besides: one eigh of Q for the cutoff, and for each of the eight
+    # translated states per call one eigvalsh (validation) and one eigh
+    assert len(seen["eigh"]) == 1 + 2 + 16 and len(seen["eigvalsh"]) == 16

@@ -377,3 +377,116 @@ def test_density_matrix_validation():
     with pytest.raises(DomainError):
         fock.FockDensityMatrix(np.zeros((0, 0), dtype=complex))
     assert fock.FockDensityMatrix(np.eye(4, dtype=complex) / 4.0).dim == 4
+
+
+def _expm_displace(rho, direction, theta):
+    """Reference: conjugation by a dense expm of the truncated generator."""
+    q1, p1 = fock.quadratures(rho.dim)
+    u = sla.expm(-1j * theta * p1 if direction == "q" else 1j * theta * q1)
+    return u @ rho.rho @ u.conj().T
+
+
+@pytest.mark.parametrize("dim", [12, 30])
+@pytest.mark.parametrize("direction", ["q", "p"])
+def test_displace_fock_matches_expm_route(dim, direction):
+    states = (fock.thermal_state(0.05, dim), fock.coherent_state(0.3 - 0.2j, dim),
+              fock.fock_state(2, dim))
+    for rho in states:
+        for theta in (0.05, -0.05, 0.025, -0.025, 0.7):
+            want = _expm_displace(rho, direction, theta)
+            got = fock.displace_fock(rho, direction, theta)
+            assert np.max(np.abs(got.rho - want)) < 1e-12, (rho, theta)
+    # past the cutoff both routes refuse alike
+    hot = fock.thermal_state(1.0, 30)
+    want = fock.trace_leak(fock.FockDensityMatrix(_expm_displace(hot, direction, 0.7)))
+    with pytest.raises(fock.CutoffError) as err:
+        fock.displace_fock(hot, direction, 0.7)
+    assert err.value.leak == pytest.approx(want, rel=1e-6)
+
+
+def test_two_mode_mix_store_filled_by_other_pairs_gives_cold_bits():
+    # W is allocated by the first mix with one diagonal input, from the
+    # blocks built before it, and then filled by each block as it is built;
+    # entries other pairs filled meet zero entries of the inputs, so a store
+    # whose W they filled gives the same bits as an empty one
+    dim = 12
+    rng = np.random.default_rng(11)
+    full_a, full_b = _random_state(rng, dim), _random_state(rng, dim)
+    diag = _random_diagonal(rng, dim)
+    one_diagonal = [(fock.fock_state(2, dim), fock.coherent_state(0.4 - 0.2j, dim)),
+                    (fock.coherent_state(0.3j, dim), fock.fock_state(1, dim)),
+                    (fock.fock_state(0, dim), full_a),
+                    (diag, full_b), (full_a, diag)]
+    for params in (MixingParams.beam_splitter(0.3), MixingParams.amplifier(1.1)):
+        cold = []
+        for a, b in one_diagonal:
+            fock._sectors.cache_clear()
+            cold.append(fock.two_mode_mix(a, b, params, leak_tol=1.0).rho)
+        fock._sectors.cache_clear()
+        fock.two_mode_mix(fock.fock_state(3, dim), diag, params, leak_tol=1.0)
+        fock.two_mode_mix(full_a, full_b, params, leak_tol=1.0)
+        store = fock._sectors(params, dim)
+        assert store.w is None
+        for a, b in reversed(one_diagonal):
+            fock.two_mode_mix(a, b, params, leak_tol=1.0)
+        assert all(block is not None for block in store.blocks)
+        for (a, b), want in zip(one_diagonal, cold):
+            assert np.array_equal(fock.two_mode_mix(a, b, params, leak_tol=1.0).rho, want)
+        # W holds every block, and the view the mix gets is read-only
+        w = store.dense(np.arange(2 * dim - 1))
+        assert not w.flags.writeable
+        for n_a, n_b, u in store.blocks:
+            assert np.array_equal(w[n_b, n_a[0]:n_a[-1] + 1, n_a], u.T)
+
+
+def test_both_diagonal_mix_allocates_no_dense_tensor():
+    dim = 30
+    params = MixingParams.beam_splitter(0.5)
+    fock._sectors.cache_clear()
+    fock.two_mode_mix(fock.thermal_state(1.0, dim), fock.vacuum_state(dim), params)
+    assert fock._sectors(params, dim).w is None
+    fock.two_mode_mix(fock.thermal_state(1.0, dim), fock.coherent_state(0.5, dim), params)
+    assert fock._sectors(params, dim).w.shape == (dim, dim, dim)
+
+
+class _Counter:
+    """Counts the calls of a numpy function, and which arrays it got."""
+
+    def __init__(self, monkeypatch, name):
+        self.args = []
+        original = getattr(np.linalg, name)
+
+        def counted(a, *rest, **kwargs):
+            self.args.append(a)
+            return original(a, *rest, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def on(self, array):
+        return sum(a is array for a in self.args)
+
+
+@pytest.mark.parametrize("pair", ["diagonal + diagonal", "diagonal + coherent",
+                                  "coherent + squeezed"])
+def test_one_eigvalsh_per_mix_output(pair, monkeypatch):
+    dim = 30
+    thermal = fock.thermal_state(1.0, dim)
+    other = {"diagonal + diagonal": fock.fock_state(2, dim),
+             "diagonal + coherent": fock.coherent_state(1.0, dim),
+             "coherent + squeezed": fock.squeezed_thermal_state(0.3, 0.5, dim)}[pair]
+    first = fock.coherent_state(1.0, dim) if pair == "coherent + squeezed" else thermal
+    eigvalsh = _Counter(monkeypatch, "eigvalsh")
+    out = fock.two_mode_mix(first, other, MixingParams.beam_splitter(0.5))
+    s = fock.vn_entropy(out)
+    assert len(eigvalsh.args) == eigvalsh.on(out.rho) == 1
+    assert s == 0.0 - float(np.sum(fock._xlogx(np.maximum(np.linalg.eigvalsh(out.rho), 0.0))))
+    evolved = fock.liouville_evolve(thermal, 0.1)
+    fock.vn_entropy(evolved)
+    assert eigvalsh.on(evolved.rho) == 1
+
+
+def test_state_decompositions_are_kept_read_only():
+    rho = fock.squeezed_thermal_state(0.3, 0.5, 30)
+    w, v = rho.eigensystem
+    assert not any(array.flags.writeable for array in (rho.spectrum, w, v))
+    assert rho.spectrum is rho.spectrum and rho.eigensystem is rho.eigensystem
+    assert np.max(np.abs((v * w) @ v.conj().T - rho.rho)) < 1e-14
