@@ -73,5 +73,5 @@ def write_region_csv(path, points: list[CapacityPoint]) -> None:
     """Write the region as CSV, atomically: a failed write leaves no file."""
     rows = [(f"{pt.beta:.10g}", f"{pt.R_B:.12g}", f"{pt.R_C_conjectured:.12g}",
              f"{pt.R_C_qepi:.12g}", str(int(pt.feasible))) for pt in points]
-    atomic_write(path, csv_text([("beta", "R_B", "R_C_conj", "R_C_qepi", "feasible")]
-                                + rows))
+    atomic_write(path, (csv_text([("beta", "R_B", "R_C_conj", "R_C_qepi", "feasible")]
+                                 + rows),))

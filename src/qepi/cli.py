@@ -29,11 +29,11 @@ ORACLE_TOLERANCE = 1e-5
 
 
 def _write_report(path: str, payload: dict) -> None:
-    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True), "\n"))
     # timestamps live in a sidecar so report bodies stay byte-reproducible
     meta = {"written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "report": os.path.basename(path)}
-    atomic_write(path + ".meta.json", json.dumps(meta, indent=2) + "\n")
+    atomic_write(path + ".meta.json", (json.dumps(meta, indent=2), "\n"))
 
 
 def cmd_verify(args) -> int:
@@ -51,22 +51,29 @@ def cmd_verify(args) -> int:
     return 0 if violations == 0 else 1
 
 
+def _surface_csv(s_grid, lam_grid, surface):
+    """delta_surface.csv as its header and then one block of rows per S_bar.
+
+    One %-template of all lambda rows is filled once per block, so only one
+    block lives as a string at a time.
+    """
+    template = "".join(f"%s,{lam:.10g},%.12g\r\n" for lam in lam_grid.tolist())
+    fields = [None] * (2 * lam_grid.size)
+    yield csv_text([("S_bar", "lambda", "delta")])
+    for s, deltas in zip(s_grid.tolist(), surface):
+        fields[0::2] = [f"{s:.10g}"] * lam_grid.size
+        fields[1::2] = deltas.tolist()
+        yield template % tuple(fields)
+
+
 def cmd_figures(args) -> int:
     # the region first: it checks --lambda and --n-bar before any file is written
     points = broadcast.capacity_region(args.transmissivity, args.n_bar)
     os.makedirs(args.out, exist_ok=True)
 
     s_grid, lam_grid, surface = delta_surface()
-    # one %-template of all lambda rows, filled once per S_bar block, so the
-    # rows never all live as strings at once
-    template = "".join(f"%s,{lam:.10g},%.12g\r\n" for lam in lam_grid.tolist())
-    fields = [None] * (2 * lam_grid.size)
-    blocks = [csv_text([("S_bar", "lambda", "delta")])]
-    for s, deltas in zip(s_grid.tolist(), surface):
-        fields[0::2] = [f"{s:.10g}"] * lam_grid.size
-        fields[1::2] = deltas.tolist()
-        blocks.append(template % tuple(fields))
-    atomic_write(os.path.join(args.out, "delta_surface.csv"), "".join(blocks))
+    atomic_write(os.path.join(args.out, "delta_surface.csv"),
+                 _surface_csv(s_grid, lam_grid, surface))
 
     rows = [("S_bar", "lambda", "gaussian_ansatz", "qepi_bound")]
     s_bars, lams = np.array([[0.5], [1.0], [1.5]]), np.linspace(0.0, 1.0, 201)
@@ -76,7 +83,7 @@ def cmd_figures(args) -> int:
                                     moe_bound(s_bars, lams).tolist()):
         rows += [(f"{s_bar:.10g}", lam, f"{a:.12g}", f"{b:.12g}")
                  for lam, a, b in zip(lam_text, ansatz, bound)]
-    atomic_write(os.path.join(args.out, "moe_bounds.csv"), csv_text(rows))
+    atomic_write(os.path.join(args.out, "moe_bounds.csv"), (csv_text(rows),))
 
     broadcast.write_region_csv(os.path.join(args.out, "region.csv"), points)
 

@@ -4,18 +4,22 @@ from __future__ import annotations
 
 import os
 import tempfile
+from collections.abc import Iterable
 
 
-def atomic_write(path, data: str) -> None:
-    """Write data to path through a temporary file in the same directory.
+def atomic_write(path, pieces: Iterable[str]) -> None:
+    """Write the text pieces to path, one after another, through a temporary
+    file in the same directory, which replaces path after the last piece.
 
-    A failed write leaves neither a partial file at path nor the temporary.
+    The text is never joined, so a generator of pieces keeps only one of
+    them alive at a time.  If producing or writing a piece raises, the
+    temporary is removed and an existing file at path keeps its bytes.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-qepi-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -48,8 +48,8 @@ class FockDensityMatrix:
     """A density matrix on dim Fock levels, read-only once built.
 
     Since rho cannot change, its decompositions are kept the first time
-    they are asked for: `spectrum` (eigvalsh, which validation computes)
-    and `eigensystem` (eigh).
+    they are asked for: `spectrum` (which validation computes) and
+    `eigensystem` (eigh).
     """
 
     dim: int            # Fock dimension, read from the shape of rho
@@ -67,10 +67,9 @@ class FockDensityMatrix:
             tr = float(np.trace(rho).real)
             if abs(tr - 1.0) > TRACE_TOL:
                 raise NumericError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-            evs = np.linalg.eigvalsh(rho)
+            evs = _spectrum(rho)
             if evs[0] < EIGENVALUE_FLOOR:
                 raise NumericError(f"negative eigenvalue {evs[0]:.3e}")
-            evs.flags.writeable = False
             object.__setattr__(self, "spectrum", evs)
         rho.flags.writeable = False
         object.__setattr__(self, "dim", rho.shape[0])
@@ -78,10 +77,8 @@ class FockDensityMatrix:
 
     @functools.cached_property
     def spectrum(self) -> np.ndarray:
-        """The eigenvalues of rho by eigvalsh, ascending."""
-        evs = np.linalg.eigvalsh(self.rho)
-        evs.flags.writeable = False
-        return evs
+        """The eigenvalues of rho, ascending (see _spectrum)."""
+        return _spectrum(self.rho)
 
     @functools.cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -89,6 +86,27 @@ class FockDensityMatrix:
         w, v = np.linalg.eigh(self.rho)
         w.flags.writeable = v.flags.writeable = False
         return w, v
+
+
+def _is_diagonal(rho: np.ndarray) -> bool:
+    """No nonzero entry off the diagonal."""
+    return np.count_nonzero(rho) == np.count_nonzero(np.diagonal(rho))
+
+
+def _spectrum(rho: np.ndarray) -> np.ndarray:
+    """The eigenvalues of Hermitian rho, ascending and read-only.
+
+    With no nonzero entry off the diagonal they are its real diagonal,
+    sorted: eigvalsh's reduction to tridiagonal form leaves such a matrix as
+    it is and its tridiagonal solver splits it into 1 x 1 blocks, so it
+    returns the same bits.  Otherwise eigvalsh.
+    """
+    if _is_diagonal(rho):
+        evs = np.sort(np.diagonal(rho).real)
+    else:
+        evs = np.linalg.eigvalsh(rho)
+    evs.flags.writeable = False
+    return evs
 
 
 def ladder(dim: int) -> np.ndarray:
@@ -147,10 +165,10 @@ def thermal_state(mean_photons: float, dim: int) -> FockDensityMatrix:
 def coherent_state(alpha: complex, dim: int) -> FockDensityMatrix:
     dim = _require_integer("cutoff", dim, 1)
     require("|alpha|", abs(alpha), 0.0)
-    from scipy.special import gammaln
     n = np.arange(dim)
     log_amp = n * np.log(np.abs(alpha)) if alpha != 0 else np.where(n == 0, 0.0, -np.inf)
-    amps = np.exp(-0.5 * abs(alpha) ** 2 + log_amp - 0.5 * gammaln(n + 1.0))
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    amps = np.exp(-0.5 * abs(alpha) ** 2 + log_amp - 0.5 * log_factorial)
     if alpha != 0:
         amps = amps * np.exp(1j * n * np.angle(alpha))
     norm = float(np.vdot(amps, amps).real)
@@ -277,11 +295,6 @@ def _pure_components(rho: FockDensityMatrix) -> np.ndarray:
     return v[:, keep] * np.sqrt(w[keep])
 
 
-def _is_diagonal(rho: FockDensityMatrix) -> bool:
-    """No nonzero entry off the diagonal."""
-    return np.count_nonzero(rho.rho) == np.count_nonzero(np.diagonal(rho.rho))
-
-
 def _populations(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray, bool]:
     """Populations, support and whether rho is exactly Fock-diagonal.
 
@@ -290,7 +303,7 @@ def _populations(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray, bool]:
     its nonzero rows.
     """
     pop = np.diagonal(rho.rho).real
-    if _is_diagonal(rho):
+    if _is_diagonal(rho.rho):
         pop = np.where(pop > _eigen_floor(pop, rho.dim), pop, 0.0)
         return pop, pop > 0.0, True
     return pop, np.any(rho.rho != 0.0, axis=1), False
@@ -450,7 +463,7 @@ def two_mode_mix(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
     if p.lambda_A == 0.0:        # a beam splitter; an amplifier has lambda_A >= 1
         return rho_b
     sectors = _sectors(p, dim)
-    if _is_diagonal(rho_a) or _is_diagonal(rho_b):
+    if _is_diagonal(rho_a.rho) or _is_diagonal(rho_b.rho):
         out, kept, top = _mix_diagonal(rho_a, rho_b, sectors)
     else:
         out, kept, top = _mix_components(rho_a, rho_b, sectors)
@@ -522,8 +535,9 @@ def liouville_evolve(rho: FockDensityMatrix, t: float) -> FockDensityMatrix:
     2m + 1 except dim - 1 at the top level of the truncated space.  So each
     band n - m = +-k evolves on its own under a symmetric tridiagonal
     matrix, exponentiated here through its eigendecomposition.  A band
-    that is exactly zero stays zero and is skipped, so a Fock-diagonal
-    input costs one eigensolve.
+    that is exactly zero stays zero: only the bands that one np.nonzero of
+    rho finds occupied are evolved, so a Fock-diagonal input costs one
+    eigensolve.
     """
     require("evolution time", t, 0.0)
     if t == 0:
@@ -534,10 +548,9 @@ def liouville_evolve(rho: FockDensityMatrix, t: float) -> FockDensityMatrix:
     c = 2.0 * m + 1.0
     c[-1] = dim - 1
     out = np.zeros_like(rho.rho)
-    for k in range(dim):
+    rows, cols = np.nonzero(rho.rho)
+    for k in np.unique(np.abs(cols - rows)).tolist():
         j = m[:dim - k]                       # band entries (j, j + k)
-        if not (rho.rho[j, j + k].any() or rho.rho[j + k, j].any()):
-            continue
         w, v = sla.eigh_tridiagonal(-(c[j] + c[j + k]) / 4.0,
                                     0.5 * np.sqrt(j[1:] * (j[1:] + k)))
         prop = (v * np.exp(t * w)) @ v.T

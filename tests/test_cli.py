@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -280,6 +281,31 @@ def test_gaussian_commands_load_no_scipy(tmp_path):
     # the oracle loads scipy.linalg, so the probe sees a loaded module
     assert "'scipy.linalg'" in probes["oracle"]
     assert "'scipy.special'" not in probes["oracle"]
+
+
+COHERENT_PROBE = """
+import sys
+import qepi.fock as fock
+fock.coherent_state(0.8 + 0.3j, 30)
+print("coherent", [m for m in sys.modules if m.startswith("scipy")])
+"""
+
+
+def test_coherent_state_loads_no_scipy():
+    out = _run_python("-c", COHERENT_PROBE)
+    assert "coherent []" in out.stdout.splitlines()
+
+
+def test_figures_peak_python_memory(tmp_path):
+    # the surface CSV is 1.4 MB; joined and encoded whole it peaked at 4.5 MiB
+    assert main(["figures", "--out", str(tmp_path)]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["figures", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 def _csv_writer_bytes(rows) -> bytes:

@@ -477,11 +477,14 @@ def test_one_eigvalsh_per_mix_output(pair, monkeypatch):
     eigvalsh = _Counter(monkeypatch, "eigvalsh")
     out = fock.two_mode_mix(first, other, MixingParams.beam_splitter(0.5))
     s = fock.vn_entropy(out)
-    assert len(eigvalsh.args) == eigvalsh.on(out.rho) == 1
+    # a Fock-diagonal output's spectrum is its sorted diagonal, no eigvalsh
+    diagonal = pair == "diagonal + diagonal"
+    assert fock._is_diagonal(out.rho) == diagonal
+    assert len(eigvalsh.args) == eigvalsh.on(out.rho) == (0 if diagonal else 1)
     assert s == 0.0 - float(np.sum(fock._xlogx(np.maximum(np.linalg.eigvalsh(out.rho), 0.0))))
     evolved = fock.liouville_evolve(thermal, 0.1)
     fock.vn_entropy(evolved)
-    assert eigvalsh.on(evolved.rho) == 1
+    assert eigvalsh.on(evolved.rho) == 0
 
 
 def test_state_decompositions_are_kept_read_only():
@@ -490,3 +493,59 @@ def test_state_decompositions_are_kept_read_only():
     assert not any(array.flags.writeable for array in (rho.spectrum, w, v))
     assert rho.spectrum is rho.spectrum and rho.eigensystem is rho.eigensystem
     assert np.max(np.abs((v * w) @ v.conj().T - rho.rho)) < 1e-14
+
+
+def _tricky_diagonal(rng, dim):
+    """Populations with exact zeros, ties, 1e-300 and entries just above
+    EIGENVALUE_FLOOR among random ones, trace 1."""
+    kind = rng.integers(0, 5, dim)
+    kind[0] = 0                                  # one free population at least
+    special = {1: 0.0, 2: 1e-300, 3: np.nextafter(fock.EIGENVALUE_FLOOR, 0.0)}
+    pops = np.where(kind == 4, 0.25, rng.random(dim))
+    free = (kind == 0) | (kind == 4)
+    for k, value in special.items():
+        pops[kind == k] = value
+    pops[free] *= (1.0 - pops[~free].sum()) / pops[free].sum()
+    return pops
+
+
+@pytest.mark.parametrize("dim", [1, 2, 30, 120])
+def test_diagonal_spectrum_is_eigvalsh_bit_for_bit(dim, monkeypatch):
+    rng = np.random.default_rng(dim)
+    eigvalsh = _Counter(monkeypatch, "eigvalsh")
+    for _ in range(20):
+        rho = np.diag(_tricky_diagonal(rng, dim)).astype(complex)
+        for state in (fock.FockDensityMatrix(rho),
+                      fock.FockDensityMatrix(rho, validate=False)):
+            got = state.spectrum
+            assert not eigvalsh.args
+            want = np.linalg.eigvalsh(state.rho)
+            eigvalsh.args.clear()
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("t", [0.01, 0.7, 3.0])
+def test_liouville_evolve_band_sparse_matches_dense_reference(t):
+    # the diagonal and the +-3 band only: two of the dim bands are evolved
+    dim = 10
+    rng = np.random.default_rng(5)
+    pops = rng.uniform(0.5, 1.0, dim)
+    band = 0.003 * (rng.normal(size=dim - 3) + 1j * rng.normal(size=dim - 3))
+    rho = np.diag(pops / pops.sum()) + np.diag(band, 3) + np.diag(band.conj(), -3)
+    state = fock.FockDensityMatrix(rho)
+    want = sla.expm(t * _dense_noise_superoperator(dim)) @ state.rho.reshape(-1)
+    got = fock.liouville_evolve(state, t)
+    assert np.max(np.abs(got.rho - want.reshape(dim, dim))) < 1e-12
+    n, m = np.indices((dim, dim))
+    assert not got.rho[(np.abs(n - m) != 0) & (np.abs(n - m) != 3)].any()
+
+
+def test_coherent_state_amplitudes_match_gammaln():
+    from scipy.special import gammaln
+    alpha, dim = 1.3 - 0.4j, 60
+    n = np.arange(dim)
+    amps = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1.0)
+                  + 1j * n * np.angle(alpha))
+    got = fock.coherent_state(alpha, dim).rho
+    assert np.max(np.abs(got - np.outer(amps, amps.conj()))) < 1e-15
