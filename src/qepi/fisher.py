@@ -6,8 +6,10 @@ Route 2 (Fock): J per direction as the second derivative of the relative
 entropy S(rho || rho_theta) at theta = 0, by finite differences: eight
 translations (+-h and +-h/2 along q and p) and eight relative entropies
 per state.  The state's one eigh, kept on it, serves the rank check and
-every relative entropy; each translation is a product with exp(i theta Q)
-in the eigenbasis of the truncated Q, one eigh per cutoff.
+every relative entropy on both sides: each translation is a product with
+exp(i theta Q) in the eigenbasis of the truncated Q, one eigh per cutoff,
+and the translated state inherits the state's eigenvalues and rotated
+eigenvectors, so it is never decomposed.
 """
 
 from __future__ import annotations
@@ -86,8 +88,9 @@ def fisher_direction_fock(rho: fock.FockDensityMatrix, direction: str) -> float:
     vanishes at theta = 0, the second central difference reduces to
     [S(rho||rho_h) + S(rho||rho_-h)] / h^2, Richardson-extrapolated over
     h = FOCK_STEP and h/2.  rho is decomposed once: its eigh, kept on the
-    state, gives the rank check here and rho's side of all four relative
-    entropies.
+    state, gives the rank check here and both sides of all four relative
+    entropies, since each translated state u rho u^dag carries rho's
+    eigenvalues and the eigenvectors u V (see fock.displace_fock).
     """
     evs = rho.eigensystem[0]
     if evs[0] < FULL_RANK_EIG_TOL:

@@ -49,7 +49,8 @@ class FockDensityMatrix:
 
     Since rho cannot change, its decompositions are kept the first time
     they are asked for: `spectrum` (which validation computes) and
-    `eigensystem` (eigh).
+    `eigensystem` (eigh).  A unitary image u rho u^dag inherits both from
+    rho instead (see _unitary_image).
     """
 
     dim: int            # Fock dimension, read from the shape of rho
@@ -60,17 +61,8 @@ class FockDensityMatrix:
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.size == 0:
             raise DomainError(f"expected a non-empty square matrix, got shape {rho.shape}")
         if validate:
-            herm = np.max(np.abs(rho - rho.conj().T))
-            if herm > HERMITICITY_TOL:
-                raise NumericError(f"non-Hermitian density matrix: {herm:.3e}")
-            rho = 0.5 * (rho + rho.conj().T)
-            tr = float(np.trace(rho).real)
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise NumericError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-            evs = _spectrum(rho)
-            if evs[0] < EIGENVALUE_FLOOR:
-                raise NumericError(f"negative eigenvalue {evs[0]:.3e}")
-            object.__setattr__(self, "spectrum", evs)
+            rho = _hermitian_part(rho)
+            object.__setattr__(self, "spectrum", _above_floor(_spectrum(rho)))
         rho.flags.writeable = False
         object.__setattr__(self, "dim", rho.shape[0])
         object.__setattr__(self, "rho", rho)
@@ -86,6 +78,49 @@ class FockDensityMatrix:
         w, v = np.linalg.eigh(self.rho)
         w.flags.writeable = v.flags.writeable = False
         return w, v
+
+
+def _hermitian_part(rho: np.ndarray) -> np.ndarray:
+    """(rho + rho^dag) / 2, once rho is checked finite, Hermitian and of unit trace.
+
+    Finiteness comes first: NaN fails no comparison, and an infinite entry
+    would turn the Hermiticity residual into NaN.
+    """
+    if not np.isfinite(rho).all():
+        raise NumericError("density matrix has non-finite entries")
+    herm = np.max(np.abs(rho - rho.conj().T))
+    if herm > HERMITICITY_TOL:
+        raise NumericError(f"non-Hermitian density matrix: {herm:.3e}")
+    rho = 0.5 * (rho + rho.conj().T)
+    tr = float(np.trace(rho).real)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise NumericError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
+    return rho
+
+
+def _above_floor(evs: np.ndarray) -> np.ndarray:
+    """evs (ascending), once its least eigenvalue is checked against the floor."""
+    if evs[0] < EIGENVALUE_FLOOR:
+        raise NumericError(f"negative eigenvalue {evs[0]:.3e}")
+    return evs
+
+
+def _unitary_image(rho: FockDensityMatrix, u: np.ndarray) -> FockDensityMatrix:
+    """u rho u^dag for a unitary u, its decompositions inherited from rho.
+
+    With rho = v diag(w) v^dag, the image is (u v) diag(w) (u v)^dag: it
+    takes rho's spectrum (the same array, so its entropy carries the same
+    bits) and the eigensystem (w, u v) from rho's eigh, and no eigensolve
+    of its own.  Its entries are checked as validation checks them, and
+    the inherited spectrum against the eigenvalue floor.
+    """
+    image = FockDensityMatrix(_hermitian_part(u @ rho.rho @ u.conj().T), validate=False)
+    w, v = rho.eigensystem
+    x = u @ v
+    x.flags.writeable = False
+    object.__setattr__(image, "spectrum", _above_floor(rho.spectrum))
+    object.__setattr__(image, "eigensystem", (w, x))
+    return image
 
 
 def _is_diagonal(rho: np.ndarray) -> bool:
@@ -576,7 +611,9 @@ def displace_fock(rho: FockDensityMatrix, direction: str,
     come from one eigenbasis V of the truncated Q per cutoff:
     exp(i theta Q) = V exp(i theta q) V^T, and P = -R^dag Q R with
     R = diag(i^n) holds exactly after truncation, so
-    exp(-i theta P) = R^dag exp(i theta Q) R.
+    exp(-i theta P) = R^dag exp(i theta Q) R.  That u is unitary to
+    rounding, so the translated state inherits rho's spectrum and
+    eigensystem (see _unitary_image): a translation takes no eigensolve.
     """
     if direction not in ("q", "p"):
         raise DomainError(f"direction must be 'q' or 'p', got {direction!r}")
@@ -586,8 +623,7 @@ def displace_fock(rho: FockDensityMatrix, direction: str,
     if direction == "q":
         r = np.array([1, 1j, -1, -1j])[np.arange(rho.dim) % 4]      # i^n, exactly
         u = r.conj()[:, None] * u * r
-    out = u @ rho.rho @ u.conj().T
-    fdm = FockDensityMatrix(out, validate=True)
+    fdm = _unitary_image(rho, u)
     leak = trace_leak(fdm)
     if leak > LEAK_TOL:
         raise CutoffError(f"displacement leak {leak:.3e} at cutoff {rho.dim}", leak=leak)

@@ -156,6 +156,20 @@ def test_oracle_numerical_failure_exits_one(error, monkeypatch, capsys):
     assert len(err) == 1 and "forced failure" in err[0]
 
 
+def test_oracle_non_finite_state_exits_one(monkeypatch, capsys):
+    # a mix output with a NaN entry is refused by the state's validation,
+    # and the refusal maps to the numerical-failure family
+    def nan_mix(rho_a, rho_b, sectors):
+        out = np.eye(rho_a.dim, dtype=complex) / rho_a.dim
+        out[0, 1] = np.nan
+        return out, 1.0, 0.0
+    monkeypatch.setattr(fock, "_mix_diagonal", nan_mix)
+    assert main(["oracle", "--cutoff", "30"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+    assert "non-finite" in err[0]
+
+
 def test_oracle_default_passes(tmp_path):
     out = tmp_path / "oracle.json"
     assert main(["oracle", "--out", str(out)]) == 0

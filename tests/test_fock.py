@@ -379,6 +379,19 @@ def test_density_matrix_validation():
     assert fock.FockDensityMatrix(np.eye(4, dtype=complex) / 4.0).dim == 4
 
 
+def _inf_off_diagonal():
+    rho = np.eye(2, dtype=complex) / 2.0
+    rho[0, 1] = rho[1, 0] = np.inf
+    return rho
+
+
+@pytest.mark.parametrize("rho", [np.diag([np.nan, 1.0]), _inf_off_diagonal()],
+                         ids=["nan on the diagonal", "inf off the diagonal"])
+def test_density_matrix_refuses_non_finite_entries(rho):
+    with pytest.raises(fock.NumericError, match="non-finite"):
+        fock.FockDensityMatrix(rho)
+
+
 def _expm_displace(rho, direction, theta):
     """Reference: conjugation by a dense expm of the truncated generator."""
     q1, p1 = fock.quadratures(rho.dim)
@@ -402,6 +415,52 @@ def test_displace_fock_matches_expm_route(dim, direction):
     with pytest.raises(fock.CutoffError) as err:
         fock.displace_fock(hot, direction, 0.7)
     assert err.value.leak == pytest.approx(want, rel=1e-6)
+
+
+# per cutoff, a thermal, a squeezed thermal and a coherent state that the
+# translations below keep under the leak gate
+INHERITING = {"12-thermal": lambda: fock.thermal_state(0.1, 12),
+              "12-squeezed": lambda: fock.squeezed_thermal_state(0.1, 0.1, 12),
+              "12-coherent": lambda: fock.coherent_state(0.3, 12),
+              "30-thermal": lambda: fock.thermal_state(1.0, 30),
+              "30-squeezed": lambda: fock.squeezed_thermal_state(0.1, 0.9, 30),
+              "30-coherent": lambda: fock.coherent_state(1.0, 30),
+              "60-thermal": lambda: fock.thermal_state(2.0, 60),
+              "60-squeezed": lambda: fock.squeezed_thermal_state(0.1, 2.0, 60),
+              "60-coherent": lambda: fock.coherent_state(2.0, 60)}
+
+
+@pytest.mark.parametrize("state", INHERITING)
+@pytest.mark.parametrize("direction", ["q", "p"])
+def test_translation_inherits_the_eigensystem(state, direction):
+    rho = INHERITING[state]()
+    dim = rho.dim
+    other = "p" if direction == "q" else "q"
+    for theta in (0.05, -0.025):
+        once = fock.displace_fock(rho, direction, theta)
+        for image in (once, fock.displace_fock(once, other, theta)):
+            w, x = image.eigensystem
+            assert w is rho.eigensystem[0] and image.spectrum is rho.spectrum
+            assert not x.flags.writeable
+            assert np.linalg.norm(image.rho @ x - x * w) <= 1e-13
+            assert np.linalg.norm(x.conj().T @ x - np.eye(dim)) <= 1e-13
+            assert fock.vn_entropy(image) == fock.vn_entropy(rho)
+            fresh = fock.FockDensityMatrix(image.rho)
+            assert fock.relative_entropy(rho, image) == pytest.approx(
+                fock.relative_entropy(rho, fresh), rel=0.0, abs=1e-12)
+
+
+def test_translated_state_keeps_every_check():
+    # the image is checked like any validated state: a non-finite product,
+    # a trace off 1 or an inherited spectrum below the floor is refused
+    rho = fock.thermal_state(1.0, 30)
+    for u, match in ((np.where(np.eye(30, dtype=bool), np.nan, 0.0), "non-finite"),
+                     (1.1 * np.eye(30), "trace")):
+        with pytest.raises(fock.NumericError, match=match):
+            fock._unitary_image(rho, u)
+    negative = fock.FockDensityMatrix(np.diag([1.5, -0.5]).astype(complex), validate=False)
+    with pytest.raises(fock.NumericError, match="negative eigenvalue"):
+        fock._unitary_image(negative, np.eye(2))
 
 
 def test_two_mode_mix_store_filled_by_other_pairs_gives_cold_bits():
