@@ -21,8 +21,8 @@ import numpy as np
 from . import broadcast, fock
 from .channels import MixingParams
 from .files import atomic_write, csv_text
-from .inequalities import TRAJECTORY_T_MAX, delta_surface, delta_surface_max, \
-    moe_bound, moe_conjectured, random_qepi_suite, ratio_trajectory
+from .inequalities import LAM_GRID, S_GRID, SUITE_R_MAX, TRAJECTORY_T_MAX, delta_surface, \
+    delta_surface_max, moe_bound, moe_conjectured, random_qepi_suite, ratio_trajectory
 from .symplectic import DomainError, GaussianState, NumericError, ValidationError, g
 
 ORACLE_TOLERANCE = 1e-5
@@ -51,17 +51,17 @@ def cmd_verify(args) -> int:
     return 0 if violations == 0 else 1
 
 
-def _surface_csv(s_grid, lam_grid, surface):
+def _surface_csv(surface):
     """delta_surface.csv as its header and then one block of rows per S_bar.
 
     One %-template of all lambda rows is filled once per block, so only one
     block lives as a string at a time.
     """
-    template = "".join(f"%s,{lam:.10g},%.12g\r\n" for lam in lam_grid.tolist())
-    fields = [None] * (2 * lam_grid.size)
+    template = "".join(f"%s,{lam:.10g},%.12g\r\n" for lam in LAM_GRID.tolist())
+    fields = [None] * (2 * LAM_GRID.size)
     yield csv_text([("S_bar", "lambda", "delta")])
-    for s, deltas in zip(s_grid.tolist(), surface):
-        fields[0::2] = [f"{s:.10g}"] * lam_grid.size
+    for s, deltas in zip(S_GRID.tolist(), surface):
+        fields[0::2] = [f"{s:.10g}"] * LAM_GRID.size
         fields[1::2] = deltas.tolist()
         yield template % tuple(fields)
 
@@ -71,23 +71,22 @@ def cmd_figures(args) -> int:
     points = broadcast.capacity_region(args.transmissivity, args.n_bar)
     os.makedirs(args.out, exist_ok=True)
 
-    s_grid, lam_grid, surface = delta_surface()
-    atomic_write(os.path.join(args.out, "delta_surface.csv"),
-                 _surface_csv(s_grid, lam_grid, surface))
+    surface = delta_surface()
+    atomic_write(os.path.join(args.out, "delta_surface.csv"), _surface_csv(surface))
 
     rows = [("S_bar", "lambda", "gaussian_ansatz", "qepi_bound")]
-    s_bars, lams = np.array([[0.5], [1.0], [1.5]]), np.linspace(0.0, 1.0, 201)
-    lam_text = [f"{lam:.10g}" for lam in lams.tolist()]
+    s_bars = np.array([[0.5], [1.0], [1.5]])
+    lam_text = [f"{lam:.10g}" for lam in LAM_GRID.tolist()]
     for s_bar, ansatz, bound in zip(s_bars[:, 0].tolist(),
-                                    moe_conjectured(s_bars, lams).tolist(),
-                                    moe_bound(s_bars, lams).tolist()):
+                                    moe_conjectured(s_bars, LAM_GRID).tolist(),
+                                    moe_bound(s_bars, LAM_GRID).tolist()):
         rows += [(f"{s_bar:.10g}", lam, f"{a:.12g}", f"{b:.12g}")
                  for lam, a, b in zip(lam_text, ansatz, bound)]
     atomic_write(os.path.join(args.out, "moe_bounds.csv"), (csv_text(rows),))
 
     broadcast.write_region_csv(os.path.join(args.out, "region.csv"), points)
 
-    mx, s_at, lam_at = delta_surface_max(s_grid, lam_grid, surface=surface)
+    mx, s_at, lam_at = delta_surface_max(surface)
     print(f"delta surface max {mx:.6f} at S_bar={s_at:.4f} lambda={lam_at:.6f}")
     print(f"wrote delta_surface.csv, moe_bounds.csv, region.csv to {args.out}")
     return 0
@@ -162,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="beam-splitter transmissivity (default 0.5)")
     channel.add_argument("--kappa", type=float, default=None, help="amplifier gain")
     p_verify.add_argument("--nu-max", type=float, default=10.0)
-    p_verify.add_argument("--r-max", type=float, default=1.0)
+    p_verify.add_argument("--r-max", type=float, default=1.0,
+                          help=f"largest squeezing drawn, in [0, {SUITE_R_MAX:g}] (default 1)")
     p_verify.add_argument("--stam", action="store_true",
                           help="also run the Fisher information inequality")
     p_verify.set_defaults(func=cmd_verify)

@@ -38,17 +38,13 @@ class DivergenceError(NumericError):
     """Fisher information diverges for (near-)pure states; refused."""
 
 
-def full_rank(state: GaussianState):
+def spectrum_full_rank(nus: np.ndarray):
     """Whether each state is far enough from purity for a finite Fisher information.
 
+    nus holds the states' symplectic spectra, ascending, shape (..., n):
     True where the smallest symplectic eigenvalue is at least
     1 + FULL_RANK_NU_TOL; a bool for one state, an array for a stack.
     """
-    return spectrum_full_rank(symplectic_eigenvalues(state))
-
-
-def spectrum_full_rank(nus: np.ndarray):
-    """full_rank of the states whose symplectic spectra nus, shape (..., n), are known."""
     return nus[..., 0] >= 1.0 + FULL_RANK_NU_TOL
 
 

@@ -45,32 +45,29 @@ class AccuracyError(NumericError):
 
 @dataclass(frozen=True)
 class FockDensityMatrix:
-    """A density matrix on dim Fock levels, read-only once built.
+    """A density matrix on dim Fock levels, validated and read-only once built.
 
-    Since rho cannot change, its decompositions are kept the first time
-    they are asked for: `spectrum` (which validation computes) and
-    `eigensystem` (eigh).  A unitary image u rho u^dag inherits both from
+    Building one checks rho finite, Hermitian and of unit trace (and keeps
+    its Hermitian part) and its least eigenvalue against EIGENVALUE_FLOOR;
+    the eigenvalues, ascending, are kept as `spectrum` (see _spectrum).
+    Since rho cannot change, its eigh is kept the first time it is asked
+    for, as `eigensystem`.  A unitary image u rho u^dag inherits both from
     rho instead (see _unitary_image).
     """
 
-    dim: int            # Fock dimension, read from the shape of rho
-    rho: np.ndarray     # dim x dim complex Hermitian
+    dim: int                # Fock dimension, read from the shape of rho
+    rho: np.ndarray         # dim x dim complex Hermitian
+    spectrum: np.ndarray    # the eigenvalues of rho, ascending, read-only
 
-    def __init__(self, rho, validate: bool = True):
+    def __init__(self, rho):
         rho = np.array(rho, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.size == 0:
             raise DomainError(f"expected a non-empty square matrix, got shape {rho.shape}")
-        if validate:
-            rho = _hermitian_part(rho)
-            object.__setattr__(self, "spectrum", _above_floor(_spectrum(rho)))
-        rho.flags.writeable = False
-        object.__setattr__(self, "dim", rho.shape[0])
-        object.__setattr__(self, "rho", rho)
-
-    @functools.cached_property
-    def spectrum(self) -> np.ndarray:
-        """The eigenvalues of rho, ascending (see _spectrum)."""
-        return _spectrum(self.rho)
+        rho = _hermitian_part(rho)
+        evs = _spectrum(rho)
+        if evs[0] < EIGENVALUE_FLOOR:
+            raise NumericError(f"negative eigenvalue {evs[0]:.3e}")
+        _set_state(self, rho, evs)
 
     @functools.cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -98,11 +95,12 @@ def _hermitian_part(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _above_floor(evs: np.ndarray) -> np.ndarray:
-    """evs (ascending), once its least eigenvalue is checked against the floor."""
-    if evs[0] < EIGENVALUE_FLOOR:
-        raise NumericError(f"negative eigenvalue {evs[0]:.3e}")
-    return evs
+def _set_state(state: FockDensityMatrix, rho: np.ndarray, spectrum: np.ndarray) -> None:
+    """Make state the density matrix rho, now read-only, of the read-only spectrum."""
+    rho.flags.writeable = False
+    object.__setattr__(state, "dim", rho.shape[0])
+    object.__setattr__(state, "rho", rho)
+    object.__setattr__(state, "spectrum", spectrum)
 
 
 def _unitary_image(rho: FockDensityMatrix, u: np.ndarray) -> FockDensityMatrix:
@@ -110,15 +108,15 @@ def _unitary_image(rho: FockDensityMatrix, u: np.ndarray) -> FockDensityMatrix:
 
     With rho = v diag(w) v^dag, the image is (u v) diag(w) (u v)^dag: it
     takes rho's spectrum (the same array, so its entropy carries the same
-    bits) and the eigensystem (w, u v) from rho's eigh, and no eigensolve
-    of its own.  Its entries are checked as validation checks them, and
-    the inherited spectrum against the eigenvalue floor.
+    bits, and already checked against the eigenvalue floor) and the
+    eigensystem (w, u v) from rho's eigh, and no eigensolve of its own.
+    Its entries are checked as the constructor checks them.
     """
-    image = FockDensityMatrix(_hermitian_part(u @ rho.rho @ u.conj().T), validate=False)
+    image = object.__new__(FockDensityMatrix)
+    _set_state(image, _hermitian_part(u @ rho.rho @ u.conj().T), rho.spectrum)
     w, v = rho.eigensystem
     x = u @ v
     x.flags.writeable = False
-    object.__setattr__(image, "spectrum", _above_floor(rho.spectrum))
     object.__setattr__(image, "eigensystem", (w, x))
     return image
 
@@ -179,7 +177,7 @@ def fock_state(k: int, dim: int) -> FockDensityMatrix:
         raise CutoffError(f"Fock level {k} does not fit below cutoff {dim}")
     rho = np.zeros((dim, dim), dtype=complex)
     rho[k, k] = 1.0
-    return FockDensityMatrix(rho, validate=False)
+    return FockDensityMatrix(rho)
 
 
 def thermal_state(mean_photons: float, dim: int) -> FockDensityMatrix:
@@ -194,7 +192,7 @@ def thermal_state(mean_photons: float, dim: int) -> FockDensityMatrix:
     if tail > LEAK_TOL:
         raise CutoffError(f"thermal({mean_photons}) tail {tail:.3e} exceeds "
                           f"{LEAK_TOL} at cutoff {dim}", leak=tail)
-    return FockDensityMatrix(np.diag(probs.astype(complex)), validate=False)
+    return FockDensityMatrix(np.diag(probs.astype(complex)))
 
 
 def coherent_state(alpha: complex, dim: int) -> FockDensityMatrix:
@@ -210,7 +208,7 @@ def coherent_state(alpha: complex, dim: int) -> FockDensityMatrix:
     if 1.0 - norm > LEAK_TOL:
         raise CutoffError(f"coherent({alpha}) tail {1-norm:.3e} exceeds "
                           f"{LEAK_TOL} at cutoff {dim}", leak=1.0 - norm)
-    return FockDensityMatrix(np.outer(amps, amps.conj()), validate=False)
+    return FockDensityMatrix(np.outer(amps, amps.conj()))
 
 
 def squeezed_thermal_state(r: float, mean_photons: float, dim: int) -> FockDensityMatrix:
@@ -222,7 +220,7 @@ def squeezed_thermal_state(r: float, mean_photons: float, dim: int) -> FockDensi
     squeezer = sla.expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
     rho = squeezer @ base.rho @ squeezer.conj().T
     rho /= np.trace(rho).real
-    out = FockDensityMatrix(rho, validate=True)
+    out = FockDensityMatrix(rho)
     leak = trace_leak(out)
     if leak > LEAK_TOL:
         raise CutoffError(f"squeezed thermal leak {leak:.3e} at cutoff {dim}", leak=leak)
@@ -345,8 +343,8 @@ def _populations(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray, bool]:
 
 
 def _mix_components(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
-                    sectors: _Sectors) -> tuple[np.ndarray, float, float]:
-    """Output, kept and top-layer population from the pure components.
+                    sectors: _Sectors) -> tuple[np.ndarray, float]:
+    """Output and top-layer population from the pure components.
 
     The product vectors phi_j x psi_k are laid out in charge order, about
     2 dim at a time, so each sector is a contiguous row slice rotated by its
@@ -377,13 +375,12 @@ def _mix_components(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
         m = vecs[inverse].reshape(dim, -1)
         acc = zherk(1.0, m.T, beta=1.0, c=acc, trans=2, overwrite_c=1)
     out = np.triu(acc).conj() + np.triu(acc, 1).T      # acc: conj(rho), upper triangle
-    return out, *_layer_sums(joint[inverse].reshape(dim, dim))
+    return out, _top_layer(joint[inverse].reshape(dim, dim))
 
 
-def _layer_sums(joint: np.ndarray) -> tuple[float, float]:
-    """Total and top-layer population (n_A or n_B = dim - 1) of joint[n_A, n_B]."""
-    return (float(joint.sum()),
-            float(joint[-1, :].sum() + joint[:, -1].sum() - joint[-1, -1]))
+def _top_layer(joint: np.ndarray) -> float:
+    """Population of the top layer (n_A or n_B = dim - 1) of joint[n_A, n_B]."""
+    return float(joint[-1, :].sum() + joint[:, -1].sum() - joint[-1, -1])
 
 
 def _shift_sum(h: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -406,8 +403,8 @@ def _shift_sum(h: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 
 def _mix_diagonal(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
-                  sectors: _Sectors) -> tuple[np.ndarray, float, float]:
-    """Output, kept and top-layer population when an input is Fock-diagonal.
+                  sectors: _Sectors) -> tuple[np.ndarray, float]:
+    """Output and top-layer population when an input is Fock-diagonal.
 
     The joint output populations need only the inputs' diagonals, since U
     conserves the charge.  With both inputs diagonal they are built sector
@@ -431,7 +428,7 @@ def _mix_diagonal(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
         for k in live:
             n_a, n_b, u = sectors.block(k)
             joint[n_a, n_b] = (u * u) @ joint[n_a, n_b]
-        return np.diag(joint.sum(axis=1)).astype(complex), *_layer_sums(joint)
+        return np.diag(joint.sum(axis=1)).astype(complex), _top_layer(joint)
     w = sectors.dense(live)
     label = sectors.label_b
     x = np.arange(dim)
@@ -456,12 +453,11 @@ def _mix_diagonal(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
     edge = (x_top >= 0) & (x_top < dim - 1)         # y's top layer, x's left out
     at_y = w.take((x[:, None] * dim + np.where(edge, x_top, 0)) * dim + x)
     top = np.square(w[:, -1, :]) + np.where(edge, np.square(at_y), 0.0)
-    kept = np.einsum("bxa,bxa->ba", w, w)
-    return out, float(np.vdot(kept, pops)), float(np.vdot(top, pops))
+    return out, float(np.vdot(top, pops))
 
 
 def two_mode_mix(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
-                 p: MixingParams, leak_tol: float = LEAK_TOL) -> FockDensityMatrix:
+                 p: MixingParams) -> FockDensityMatrix:
     """Tr_B[U (rho_A x rho_B) U^dag] for the beam splitter / amplifier.
 
     U is block-diagonal by charge (see _Sectors); the blocks of the sectors
@@ -490,7 +486,8 @@ def two_mode_mix(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
     diagonal input's populations at or below dim * eps * max are dropped,
     as are the eigenvalues of a general one; the cutoff gate counts the
     joint output population of the top Fock layer of either mode plus the
-    trace deficit, so it also counts that mass.
+    output's trace deficit, so it also counts that mass, and refuses a sum
+    above LEAK_TOL.
     """
     if rho_a.dim != rho_b.dim:
         raise DomainError("two_mode_mix needs two states of equal cutoff")
@@ -499,25 +496,20 @@ def two_mode_mix(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
         return rho_b
     sectors = _sectors(p, dim)
     if _is_diagonal(rho_a.rho) or _is_diagonal(rho_b.rho):
-        out, kept, top = _mix_diagonal(rho_a, rho_b, sectors)
+        out, top = _mix_diagonal(rho_a, rho_b, sectors)
     else:
-        out, kept, top = _mix_components(rho_a, rho_b, sectors)
-    leak = top + abs(1.0 - kept)
-    if leak > leak_tol:
-        raise CutoffError(f"mixing leak {leak:.3e} exceeds {leak_tol} at cutoff {dim}",
+        out, top = _mix_components(rho_a, rho_b, sectors)
+    tr = np.trace(out).real
+    leak = top + abs(1.0 - tr)
+    if leak > LEAK_TOL:
+        raise CutoffError(f"mixing leak {leak:.3e} exceeds {LEAK_TOL} at cutoff {dim}",
                           leak=leak)
-    out /= np.trace(out).real
-    return FockDensityMatrix(out, validate=True)
+    out /= tr
+    return FockDensityMatrix(out)
 
 
 # ---------------------------------------------------------------------------
 # entropies
-
-def _clean_spectrum(evs: np.ndarray, what: str) -> np.ndarray:
-    if evs.min() < -1e-8:
-        raise NumericError(f"{what}: eigenvalue {evs.min():.3e} below -1e-8")
-    return np.maximum(evs, 0.0)
-
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
     """The terms x ln x of an entropy sum: 0.0 where x <= 0, NaN where x is NaN.
@@ -531,7 +523,7 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
 
 def vn_entropy(rho: FockDensityMatrix) -> float:
     """-Tr[rho ln rho] in nats."""
-    evs = _clean_spectrum(rho.spectrum, "vn_entropy")
+    evs = np.maximum(rho.spectrum, 0.0)
     # 0.0 - 0.0 is 0.0 where -0.0 would be a pure state's negated sum
     return 0.0 - float(np.sum(_xlogx(evs)))
 
@@ -542,8 +534,7 @@ def relative_entropy(rho: FockDensityMatrix, sigma: FockDensityMatrix) -> float:
         raise DomainError("shape mismatch in relative entropy")
     p, up = rho.eigensystem
     q, uq = sigma.eigensystem
-    p = _clean_spectrum(p, "relative_entropy")
-    q = _clean_spectrum(q, "relative_entropy")
+    p, q = np.maximum(p, 0.0), np.maximum(q, 0.0)
     overlap = np.abs(up.conj().T @ uq) ** 2      # overlap[i, j] = |<p_i|q_j>|^2
     null = q < SUPPORT_TOL
     if null.any() and float(p @ overlap[:, null].sum(axis=1)) > SUPPORT_TOL:
@@ -591,7 +582,7 @@ def liouville_evolve(rho: FockDensityMatrix, t: float) -> FockDensityMatrix:
         prop = (v * np.exp(t * w)) @ v.T
         out[j, j + k] = prop @ rho.rho[j, j + k]
         out[j + k, j] = prop @ rho.rho[j + k, j]
-    return FockDensityMatrix(out, validate=True)
+    return FockDensityMatrix(out)
 
 
 @functools.lru_cache(maxsize=8)

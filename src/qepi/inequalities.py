@@ -17,7 +17,7 @@ import numpy as np
 from . import symplectic
 from .channels import BEAM_SPLITTER, MixingParams, add_noise, mix
 from .fisher import DivergenceError, fisher_total_gaussian, spectrum_full_rank
-from .symplectic import (G_MAX, LOG_FLOAT_MAX, DomainError, GaussianState, NumericError,
+from .symplectic import (LOG_FLOAT_MAX, DomainError, GaussianState, NumericError,
                          _g, _g_inv, entropy, g, g_inv, random_gaussian_state, require,
                          spectrum_entropy)
 
@@ -210,15 +210,14 @@ def moe_delta(s_bar, transmissivity):
     return _scalar(_g(lam * g_inv(s)) - _log_mix(s)(lam))
 
 
-def _log_mix(s, small: bool = False):
+def _log_mix(s):
     """lam -> ln(lam e^S + 1 - lam) at fixed S (a float array >= 0), unchecked.
 
     e^S is taken once, for every lam.  Where it overflows, at S above
     LOG_FLOAT_MAX, the log is taken as S + ln(lam + (1 - lam) e^{-S});
-    elsewhere in the direct form, bit for bit.  A caller that knows every
-    S is at most LOG_FLOAT_MAX passes small=True and skips that test.
+    elsewhere in the direct form, bit for bit.
     """
-    if small or not np.any(s > LOG_FLOAT_MAX):
+    if not np.any(s > LOG_FLOAT_MAX):
         e_s = np.exp(s)
         return lambda lam: np.log(lam * e_s + 1.0 - lam)
     big = s > LOG_FLOAT_MAX
@@ -227,14 +226,20 @@ def _log_mix(s, small: bool = False):
                                 np.log(lam * e_s + 1.0 - lam))
 
 
-def delta_surface(s_grid=None, lam_grid=None):
-    """Evaluate moe_delta on a grid; returns (s_grid, lam_grid, surface)."""
-    if s_grid is None:
-        s_grid = np.geomspace(0.01, 6.0, 200)
-    if lam_grid is None:
-        lam_grid = np.linspace(0.0, 1.0, 201)
-    s_grid, lam_grid = np.asarray(s_grid, dtype=float), np.asarray(lam_grid, dtype=float)
-    return s_grid, lam_grid, moe_delta(s_grid[:, None], lam_grid[None, :])
+# the gap surface's grid, read-only: S_bar log-spaced, lam evenly spaced;
+# both ascend, and every S_bar is at most LOG_FLOAT_MAX.  S_GRID is
+# np.geomspace(0.01, 6.0, 200) to the bit, less its np.sign: the first
+# np.sign call of a process pages in about 150 KiB, which every process
+# that imports qepi would pay
+S_GRID = np.logspace(np.log10(0.01), np.log10(6.0), 200)
+S_GRID[[0, -1]] = 0.01, 6.0
+LAM_GRID = np.linspace(0.0, 1.0, 201)
+S_GRID.flags.writeable = LAM_GRID.flags.writeable = False
+
+
+def delta_surface():
+    """moe_delta on the grid: surface[i, j] at S_bar = S_GRID[i], lam = LAM_GRID[j]."""
+    return moe_delta(S_GRID[:, None], LAM_GRID[None, :])
 
 
 # points per zoom step: each step shrinks the interval by about ZOOM_POINTS / 2
@@ -255,7 +260,7 @@ def _zoom_max(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def delta_surface_max(s_grid=None, lam_grid=None, *, surface=None):
+def delta_surface_max(surface=None):
     """Grid maximum of the gap surface, refined by coordinate ascent.
 
     Starts at the grid argmax and makes four rounds of maximising over lam
@@ -263,41 +268,29 @@ def delta_surface_max(s_grid=None, lam_grid=None, *, surface=None):
     the argmax's grid neighbours.  The result is that coordinate-ascent
     point, neither the maximum over the box (the surface still rises
     along the ridge lam ~ e^{-S_bar} to the box edge) nor the supremum
-    (see delta_surface_sup).  A caller that holds delta_surface's
-    (s_grid, lam_grid, surface) passes all three, and the surface is not
-    computed again; a surface whose shape is not (len(s_grid),
-    len(lam_grid)) raises DomainError, and so does a grid that is not
-    strictly ascending.  Each round takes g_inv(S_bar) and e^{S_bar} once
-    for its lam zoom.  Returns (max_delta, s_bar_at_max, lam_at_max).
+    (see delta_surface_sup).  A caller that holds delta_surface() passes
+    it, and the surface is not computed again; a surface whose shape is
+    not (len(S_GRID), len(LAM_GRID)) raises DomainError.  Each round takes
+    g_inv(S_bar) and e^{S_bar} once for its lam zoom.  Returns (max_delta,
+    s_bar_at_max, lam_at_max).
     """
     if surface is None:
-        s_grid, lam_grid, surface = delta_surface(s_grid, lam_grid)
-    elif np.shape(surface) != np.shape(s_grid) + np.shape(lam_grid):
-        raise DomainError(f"surface of shape {np.shape(surface)} is not (len(s_grid), "
-                          f"len(lam_grid)): s_grid has shape {np.shape(s_grid)}, "
-                          f"lam_grid {np.shape(lam_grid)}")
-    else:
-        # the refinement below evaluates the gap unchecked inside the grids
-        require("S_bar", np.asarray(s_grid, dtype=float), 0.0, G_MAX)
-        require("transmissivity", np.asarray(lam_grid, dtype=float), 0.0, 1.0)
+        surface = delta_surface()
+    elif np.shape(surface) != (S_GRID.size, LAM_GRID.size):
+        raise DomainError(f"surface of shape {np.shape(surface)} is not "
+                          f"({S_GRID.size}, {LAM_GRID.size}), (len(S_GRID), len(LAM_GRID))")
     # the grid neighbours of the argmax bound the refinement's box
-    for name, grid in (("s_grid", s_grid), ("lam_grid", lam_grid)):
-        if not np.all(np.diff(grid) > 0.0):
-            raise DomainError(f"{name} is not strictly ascending")
     i, j = np.unravel_index(int(np.argmax(surface)), surface.shape)
-    s_best, lam_best = float(s_grid[i]), float(lam_grid[j])
-    s_lo = float(s_grid[max(i - 1, 0)])
-    s_hi = float(s_grid[min(i + 1, len(s_grid) - 1)])
-    lam_lo = float(lam_grid[max(j - 1, 0)])
-    lam_hi = float(lam_grid[min(j + 1, len(lam_grid) - 1)])
-    # whether e^{S_bar} is a float throughout the box, decided once
-    small = s_hi <= LOG_FLOAT_MAX
+    s_best, lam_best = float(S_GRID[i]), float(LAM_GRID[j])
+    s_lo, s_hi = float(S_GRID[max(i - 1, 0)]), float(S_GRID[min(i + 1, S_GRID.size - 1)])
+    lam_lo = float(LAM_GRID[max(j - 1, 0)])
+    lam_hi = float(LAM_GRID[min(j + 1, LAM_GRID.size - 1)])
     for _ in range(4):
         s = np.asarray(s_best)
-        n_s, log_mix = _g_inv(s), _log_mix(s, small)
+        n_s, log_mix = _g_inv(s), _log_mix(s)
         lam_best = _zoom_max(lambda x: _g(x * n_s) - log_mix(x), lam_lo, lam_hi)
-        s_best = _zoom_max(
-            lambda x: _g(lam_best * _g_inv(x)) - _log_mix(x, small)(lam_best), s_lo, s_hi)
+        s_best = _zoom_max(lambda x: _g(lam_best * _g_inv(x)) - _log_mix(x)(lam_best),
+                           s_lo, s_hi)
     return moe_delta(s_best, lam_best), s_best, lam_best
 
 
@@ -472,6 +465,12 @@ class SuiteSummary:
 
 # trials drawn and checked per pass of the suite; bounds its peak memory
 SUITE_CHUNK = 2 ** 12
+# largest squeezing the suite draws.  Against a 60-digit sqrt(det gamma), the
+# worst relative error of the float symplectic spectrum over the 300 most
+# squeezed of 2e4 one-mode draws is 4.3e-10 at r_max 4, below
+# GAUSSIAN_SLACK_TOL, and 1.6e-8 at 5, above it; at r_max 10 a draw's
+# covariance matrix no longer passes as positive definite
+SUITE_R_MAX = 4.0
 
 
 class _Minimum:
@@ -500,10 +499,12 @@ def random_qepi_suite(trials: int, seed: int, p: MixingParams,
     computed and every inequality checked, one array call each; the one
     spectrum of the A/B/C stack gives both the entropies and Stam's domain.
     Trials with a near-pure A, B or C are out of that domain and counted as
-    skipped.
+    skipped.  r_max must lie in [0, SUITE_R_MAX], where the verdicts hold to
+    GAUSSIAN_SLACK_TOL; it is checked before any draw.
     """
     require("trials", trials, 1)
     require("seed", seed, 0, 2 ** 64 - 1)
+    require("r_max", r_max, 0.0, SUITE_R_MAX)
     mins = {name: _Minimum() for name in ("qepi", "linear", "stam", "gap")}
     gaps, failures = np.empty(trials), []
     stam_checked = 0

@@ -14,12 +14,12 @@ import pytest
 from qepi import fock
 from qepi.broadcast import capacity_region
 from qepi.channels import MixingParams, mix
-from qepi.fisher import debruijn_check, fisher_total_gaussian, full_rank
+from qepi.fisher import debruijn_check, fisher_total_gaussian, spectrum_full_rank
 from qepi.inequalities import (EPNI_FLOOR, asymptotic_check, delta_surface_max,
                                epni_gap, moe_bound, moe_conjectured, qepi_check,
                                ratio_trajectory, stam_check)
 from qepi.symplectic import (GaussianState, delta, entropy, g, g_inv,
-                             random_gaussian_state)
+                             random_gaussian_state, symplectic_eigenvalues)
 
 BS_LAMBDAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 AMP_KAPPAS = (1.1, 1.5, 2.0, 4.0)
@@ -192,7 +192,8 @@ def test_criterion_7_stam_inequality():
         for p in (MixingParams.beam_splitter(0.5), MixingParams.amplifier(2.0)):
             abc = GaussianState(1, np.stack([a.gamma, b.gamma, mix(a, b, p).gamma],
                                             axis=1), validate=False)
-            rows = np.flatnonzero(np.all(full_rank(abc), axis=1))[:STAM_PAIRS]
+            full = spectrum_full_rank(symplectic_eigenvalues(abc))
+            rows = np.flatnonzero(np.all(full, axis=1))[:STAM_PAIRS]
             assert rows.size == STAM_PAIRS
             j_a, j_b, j_c = fisher_total_gaussian(
                 GaussianState(1, abc.gamma[rows], validate=False)).T

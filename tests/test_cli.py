@@ -19,8 +19,8 @@ from qepi.broadcast import capacity_region
 from qepi.cli import main
 from qepi.channels import MixingParams, mix
 from qepi.fisher import fisher_total_gaussian
-from qepi.inequalities import (delta_surface, moe_bound, moe_conjectured, qepi_check,
-                               stam_check)
+from qepi.inequalities import (LAM_GRID, S_GRID, delta_surface, moe_bound, moe_conjectured,
+                               qepi_check, stam_check)
 from qepi.symplectic import GaussianState, entropy, random_gaussian_state
 
 
@@ -162,7 +162,7 @@ def test_oracle_non_finite_state_exits_one(monkeypatch, capsys):
     def nan_mix(rho_a, rho_b, sectors):
         out = np.eye(rho_a.dim, dtype=complex) / rho_a.dim
         out[0, 1] = np.nan
-        return out, 1.0, 0.0
+        return out, 0.0
     monkeypatch.setattr(fock, "_mix_diagonal", nan_mix)
     assert main(["oracle", "--cutoff", "30"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
@@ -249,6 +249,13 @@ def test_trajectory_t_max_above_cap_usage_error(t_max, capsys):
     assert captured.out == ""
 
 
+def test_verify_r_max_at_cap_passes(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--r-max", "4"]) == 0
+    assert " violations=0" in capsys.readouterr().out
+
+
 def test_figures_computes_the_gap_surface_once(tmp_path, monkeypatch):
     calls = []
 
@@ -330,10 +337,10 @@ def _csv_writer_bytes(rows) -> bytes:
 
 def test_figures_csv_bytes_match_csv_writer(tmp_path):
     assert main(["figures", "--out", str(tmp_path)]) == 0
-    s_grid, lam_grid, surface = delta_surface()
+    surface = delta_surface()
     rows = [["S_bar", "lambda", "delta"]]
-    for i, s in enumerate(s_grid):
-        for j, lam in enumerate(lam_grid):
+    for i, s in enumerate(S_GRID):
+        for j, lam in enumerate(LAM_GRID):
             rows.append([f"{s:.10g}", f"{lam:.10g}", f"{surface[i, j]:.12g}"])
     assert (tmp_path / "delta_surface.csv").read_bytes() == _csv_writer_bytes(rows)
 
@@ -359,6 +366,10 @@ def test_figures_csv_bytes_match_csv_writer(tmp_path):
     ("verify --r-max nan", "r_max"),
     ("verify --r-max inf", "r_max"),
     ("verify --r-max 1e3", "r_max"),
+    # past SUITE_R_MAX = 4: the draws failed as not positive definite at 10,
+    # and overflowed with a RuntimeWarning at 400
+    ("verify --r-max 10", "r_max"),
+    ("verify --r-max 400", "r_max"),
     ("verify --trials 0", "trials"),
     ("figures --n-bar nan", "n_bar"),
     ("figures --lambda nan", "transmissivity"),

@@ -6,8 +6,7 @@ import pytest
 from qepi import fisher, fock
 from qepi.channels import MixingParams, add_noise, mix
 from qepi.fisher import (DivergenceError, debruijn_check, fisher_direction_fock,
-                         fisher_total_fock, fisher_total_gaussian, full_rank,
-                         spectrum_full_rank)
+                         fisher_total_fock, fisher_total_gaussian, spectrum_full_rank)
 from qepi.inequalities import optimal_weights, stam_check, weighted_fisher_check
 from qepi.symplectic import (GaussianState, entropy, random_gaussian_state,
                              symplectic_eigenvalues)
@@ -40,13 +39,13 @@ def test_gaussian_route_rejects_near_pure():
     # one near-pure row is enough to refuse a stack
     with pytest.raises(DivergenceError):
         fisher_total_gaussian(GaussianState(1, [3.0 * np.eye(2), np.eye(2)]))
-    assert full_rank(GaussianState(1, [3.0 * np.eye(2), np.eye(2)])).tolist() == [
-        True, False]
+    nus = symplectic_eigenvalues(GaussianState(1, [3.0 * np.eye(2), np.eye(2)]))
+    assert spectrum_full_rank(nus).tolist() == [True, False]
 
 
 def test_gaussian_route_stack_matches_rows():
     states = [random_gaussian_state(1, seed, nu_max=8.0, r_max=1.0) for seed in range(6)]
-    states = [state for state in states if full_rank(state)]
+    states = [state for state in states if spectrum_full_rank(symplectic_eigenvalues(state))]
     stack = GaussianState(1, [[state.gamma] * 2 for state in states])
     total = fisher_total_gaussian(stack)
     assert total.shape == (len(states), 2)
@@ -71,19 +70,12 @@ def _four_time_total(state: GaussianState, h: float = 1e-3):
 def test_gaussian_route_equals_four_time_stack(n):
     keys = np.stack([np.full(600, 41), np.arange(600)], axis=-1)
     stack = random_gaussian_state(n, keys, nu_max=10.0, r_max=2.0)
-    stack = GaussianState(n, stack.gamma[full_rank(stack)][:450].reshape(
-        (150, 3, 2 * n, 2 * n)), validate=False)
+    rows = spectrum_full_rank(symplectic_eigenvalues(stack))
+    stack = GaussianState(n, stack.gamma[rows][:450].reshape((150, 3, 2 * n, 2 * n)),
+                          validate=False)
     assert np.array_equal(fisher_total_gaussian(stack), _four_time_total(stack))
     one = GaussianState(n, stack.gamma[7, 1], validate=False)
     assert fisher_total_gaussian(one) == float(_four_time_total(one))
-
-
-def test_full_rank_is_spectrum_full_rank():
-    keys = np.stack([np.full(400, 3), np.arange(400)], axis=-1)
-    stack = random_gaussian_state(1, keys, nu_max=1.0 + 3e-6, r_max=1.0)
-    mask = full_rank(stack)
-    assert 0 < mask.sum() < mask.size
-    assert np.array_equal(mask, spectrum_full_rank(symplectic_eigenvalues(stack)))
 
 
 def test_fock_route_thermal_direction():

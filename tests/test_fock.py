@@ -105,25 +105,32 @@ def test_oracle_gaussian_agreement_amplifier(kappa):
     assert fock.vn_entropy(out) == pytest.approx(g((nu_c - 1.0) / 2.0), abs=1e-5)
 
 
-def test_two_mode_mix_cutoff_gate():
+def test_two_mode_mix_cutoff_gate(monkeypatch):
     # the leak is the joint output population of the top Fock layer of
     # either mode plus the trace deficit
     dim = 12
     vac = fock.vacuum_state(dim)
     pops = 0.5 ** np.arange(dim)
     hot = fock.FockDensityMatrix(np.diag(pops / pops.sum()).astype(complex))
+    full = _random_state(np.random.default_rng(12), dim)
     cases = [(vac, vac, MixingParams.amplifier(2.0)),
              (hot, vac, MixingParams.beam_splitter(0.5)),
              (fock.fock_state(2, dim), hot, MixingParams.amplifier(1.1)),
-             (hot, fock.coherent_state(1.0, dim), MixingParams.beam_splitter(0.3))]
+             (hot, fock.coherent_state(1.0, dim), MixingParams.beam_splitter(0.3)),
+             # neither input diagonal: the pure-component route
+             (fock.coherent_state(1.0, dim), full, MixingParams.beam_splitter(0.7))]
+    # the states above are built under the default gate, the mixes below
+    # under one that each of them fails
+    monkeypatch.setattr(fock, "LEAK_TOL", 1e-10)
     for rho_a, rho_b, p in cases:
         with pytest.raises(fock.CutoffError) as err:
-            fock.two_mode_mix(rho_a, rho_b, p, leak_tol=1e-10)
+            fock.two_mode_mix(rho_a, rho_b, p)
         joint = np.diagonal(_dense_joint(rho_a, rho_b, p)).real.reshape(dim, dim)
         top = joint[-1, :].sum() + joint[:, -1].sum() - joint[-1, -1]
         assert err.value.leak == pytest.approx(top + abs(1.0 - joint.sum()),
                                                rel=0.0, abs=1e-12)
         assert err.value.leak > 1e-10
+    assert not fock._is_diagonal(cases[-1][0].rho) and not fock._is_diagonal(full.rho)
 
 
 def test_vn_entropy_maximally_mixed():
@@ -253,7 +260,7 @@ def _dense_mix(rho_a, rho_b, p):
                                     MixingParams.amplifier(2.0),
                                     MixingParams.amplifier(16.0)])
 @pytest.mark.parametrize("dim", [8, 12])
-def test_two_mode_mix_matches_dense_reference(params, dim):
+def test_two_mode_mix_matches_dense_reference(params, dim, monkeypatch):
     rng = np.random.default_rng(dim)
     rho_a, rho_b = _random_state(rng, dim), _random_state(rng, dim)
     cold_a, cold_b = fock.thermal_state(0.005, dim), fock.thermal_state(0.001, dim)
@@ -276,18 +283,20 @@ def test_two_mode_mix_matches_dense_reference(params, dim):
                   "coherent + fock |1>": (fock.coherent_state(0.3j, dim),
                                           fock.fock_state(1, dim)),
                   "diagonal + diagonal": (diag_a, diag_b)})
+    # the random states fill the top Fock layer: no cutoff gate here
+    monkeypatch.setattr(fock, "LEAK_TOL", 1.0)
     cold = {}
     for name, (a, b) in pairs.items():
         fock._sectors.cache_clear()
-        cold[name] = fock.two_mode_mix(a, b, params, leak_tol=1.0)
+        cold[name] = fock.two_mode_mix(a, b, params)
         err = np.max(np.abs(cold[name].rho - _dense_mix(a, b, params)))
         assert err < 1e-12, (name, err)
     # a store that every pair has filled gives the same bits as an empty
     # one, and the blocks it holds are read-only
     for a, b in pairs.values():
-        fock.two_mode_mix(a, b, params, leak_tol=1.0)
+        fock.two_mode_mix(a, b, params)
     for name, (a, b) in pairs.items():
-        warm = fock.two_mode_mix(a, b, params, leak_tol=1.0)
+        warm = fock.two_mode_mix(a, b, params)
         assert np.array_equal(warm.rho, cold[name].rho), name
     store = fock._sectors(params, dim)
     blocks = [array for block in store.blocks if block is not None for array in block]
@@ -451,19 +460,17 @@ def test_translation_inherits_the_eigensystem(state, direction):
 
 
 def test_translated_state_keeps_every_check():
-    # the image is checked like any validated state: a non-finite product,
-    # a trace off 1 or an inherited spectrum below the floor is refused
+    # the image's entries are checked as the constructor checks them: a
+    # non-finite product or a trace off 1 is refused (the inherited spectrum
+    # passed the eigenvalue floor when rho was built)
     rho = fock.thermal_state(1.0, 30)
     for u, match in ((np.where(np.eye(30, dtype=bool), np.nan, 0.0), "non-finite"),
                      (1.1 * np.eye(30), "trace")):
         with pytest.raises(fock.NumericError, match=match):
             fock._unitary_image(rho, u)
-    negative = fock.FockDensityMatrix(np.diag([1.5, -0.5]).astype(complex), validate=False)
-    with pytest.raises(fock.NumericError, match="negative eigenvalue"):
-        fock._unitary_image(negative, np.eye(2))
 
 
-def test_two_mode_mix_store_filled_by_other_pairs_gives_cold_bits():
+def test_two_mode_mix_store_filled_by_other_pairs_gives_cold_bits(monkeypatch):
     # W is allocated by the first mix with one diagonal input, from the
     # blocks built before it, and then filled by each block as it is built;
     # entries other pairs filled meet zero entries of the inputs, so a store
@@ -476,21 +483,23 @@ def test_two_mode_mix_store_filled_by_other_pairs_gives_cold_bits():
                     (fock.coherent_state(0.3j, dim), fock.fock_state(1, dim)),
                     (fock.fock_state(0, dim), full_a),
                     (diag, full_b), (full_a, diag)]
+    # the random states fill the top Fock layer: no cutoff gate here
+    monkeypatch.setattr(fock, "LEAK_TOL", 1.0)
     for params in (MixingParams.beam_splitter(0.3), MixingParams.amplifier(1.1)):
         cold = []
         for a, b in one_diagonal:
             fock._sectors.cache_clear()
-            cold.append(fock.two_mode_mix(a, b, params, leak_tol=1.0).rho)
+            cold.append(fock.two_mode_mix(a, b, params).rho)
         fock._sectors.cache_clear()
-        fock.two_mode_mix(fock.fock_state(3, dim), diag, params, leak_tol=1.0)
-        fock.two_mode_mix(full_a, full_b, params, leak_tol=1.0)
+        fock.two_mode_mix(fock.fock_state(3, dim), diag, params)
+        fock.two_mode_mix(full_a, full_b, params)
         store = fock._sectors(params, dim)
         assert store.w is None
         for a, b in reversed(one_diagonal):
-            fock.two_mode_mix(a, b, params, leak_tol=1.0)
+            fock.two_mode_mix(a, b, params)
         assert all(block is not None for block in store.blocks)
         for (a, b), want in zip(one_diagonal, cold):
-            assert np.array_equal(fock.two_mode_mix(a, b, params, leak_tol=1.0).rho, want)
+            assert np.array_equal(fock.two_mode_mix(a, b, params).rho, want)
         # W holds every block, and the view the mix gets is read-only
         w = store.dense(np.arange(2 * dim - 1))
         assert not w.flags.writeable
@@ -574,14 +583,13 @@ def test_diagonal_spectrum_is_eigvalsh_bit_for_bit(dim, monkeypatch):
     eigvalsh = _Counter(monkeypatch, "eigvalsh")
     for _ in range(20):
         rho = np.diag(_tricky_diagonal(rng, dim)).astype(complex)
-        for state in (fock.FockDensityMatrix(rho),
-                      fock.FockDensityMatrix(rho, validate=False)):
-            got = state.spectrum
-            assert not eigvalsh.args
-            want = np.linalg.eigvalsh(state.rho)
-            eigvalsh.args.clear()
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            assert not got.flags.writeable
+        state = fock.FockDensityMatrix(rho)
+        got = state.spectrum
+        assert not eigvalsh.args
+        want = np.linalg.eigvalsh(state.rho)
+        eigvalsh.args.clear()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
 
 
 @pytest.mark.parametrize("t", [0.01, 0.7, 3.0])

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from qepi import fisher, inequalities, symplectic
 from qepi.channels import MixingParams, mix
-from qepi.fisher import DivergenceError, fisher_total_gaussian, full_rank
-from qepi.inequalities import (EPNI_FLOOR, amplifier_photon_gap,
+from qepi.fisher import DivergenceError, fisher_total_gaussian, spectrum_full_rank
+from qepi.inequalities import (EPNI_FLOOR, LAM_GRID, S_GRID, amplifier_photon_gap,
                                asymptotic_check, delta_surface,
                                delta_surface_max, delta_surface_sup, epni_gap,
                                linear_check, moe_bound, moe_conjectured, moe_delta,
                                qepi_check, random_qepi_suite, ratio_trajectory,
                                stam_check)
 from qepi.symplectic import (G_MAX, LOG_FLOAT_MAX, DomainError, GaussianState, entropy, g,
-                             g_inv, random_gaussian_state)
+                             g_inv, random_gaussian_state, symplectic_eigenvalues)
 
 # high-precision evaluations frozen as oracles
 MOE_CONJ_1_HALF = 0.6587817063298497
@@ -158,18 +158,23 @@ def test_moe_delta_nonnegative(s_bar, lam):
 
 
 def test_delta_surface_shape_and_sign():
-    s_grid, lam_grid, surface = delta_surface(np.linspace(0.1, 3.0, 10),
-                                              np.linspace(0.0, 1.0, 11))
-    assert surface.shape == (10, 11)
+    surface = delta_surface()
+    assert surface.shape == (200, 201) == (S_GRID.size, LAM_GRID.size)
     assert np.all(surface >= -1e-12)
     assert np.allclose(surface[:, 0], 0.0, atol=1e-12)
     assert np.allclose(surface[:, -1], 0.0, atol=1e-12)
+    # the grid is read-only and ascends: geomspace in S_bar, linspace in lam
+    for grid, want in ((S_GRID, np.geomspace(0.01, 6.0, 200)),
+                       (LAM_GRID, np.linspace(0.0, 1.0, 201))):
+        assert not grid.flags.writeable
+        assert np.all(np.diff(grid) > 0.0)
+        assert grid.dtype == want.dtype and grid.tobytes() == want.tobytes()
 
 
 def test_delta_surface_matches_pointwise_moe_delta():
-    s_grid, lam_grid = np.geomspace(0.01, 6.0, 7), np.linspace(0.0, 1.0, 9)
-    _, _, surface = delta_surface(s_grid, lam_grid)
-    want = [[moe_delta(float(s), float(lam)) for lam in lam_grid] for s in s_grid]
+    rows, cols = np.arange(0, 200, 33), np.arange(0, 201, 25)
+    surface = delta_surface()[np.ix_(rows, cols)]
+    want = [[moe_delta(float(S_GRID[i]), float(LAM_GRID[j])) for j in cols] for i in rows]
     assert np.allclose(surface, want, rtol=0.0, atol=1e-13)
 
 
@@ -181,8 +186,7 @@ def test_delta_surface_max_refines_grid():
 
 
 def test_delta_surface_max_takes_a_computed_surface():
-    s_grid, lam_grid, surface = delta_surface()
-    assert delta_surface_max(s_grid, lam_grid, surface=surface) == delta_surface_max()
+    assert delta_surface_max(delta_surface()) == delta_surface_max()
 
 
 # delta_surface_max() as the golden-section refinement returned it; the
@@ -250,56 +254,25 @@ def _written_out_ascent(s_grid, lam_grid, surface):
     return moe_delta(s_best, lam_best), s_best, lam_best
 
 
-@pytest.mark.parametrize("grids", [(None, None),
-                                   # the argmax on the last S_bar row, at the box edge
-                                   (np.linspace(0.1, 3.0, 30), np.linspace(0.0, 1.0, 41)),
-                                   # a box that reaches past LOG_FLOAT_MAX
-                                   (np.array([709.7, 709.9, 710.3]),
-                                    np.linspace(0.0, 4.0, 41) * math.exp(-710.4)),
-                                   (np.linspace(709.9, G_MAX, 5),
-                                    np.linspace(0.0, 1.0, 11))])
-def test_delta_surface_max_is_the_written_out_ascent(grids):
-    s_grid, lam_grid, surface = delta_surface(*grids)
-    assert delta_surface_max(*grids) == _written_out_ascent(s_grid, lam_grid, surface)
-
-
-def test_delta_surface_max_refuses_a_surface_without_grids():
-    s_grid, lam_grid, surface = delta_surface()
-    for grids in ((), (s_grid,)):
-        with pytest.raises(DomainError, match=r"surface of shape \(200, 201\) is not"):
-            delta_surface_max(*grids, surface=surface)
+def test_delta_surface_max_is_the_written_out_ascent():
+    assert delta_surface_max() == _written_out_ascent(S_GRID, LAM_GRID, delta_surface())
 
 
 def test_delta_surface_max_refuses_grids_shorter_than_the_surface():
-    s_grid, lam_grid, surface = delta_surface()
-    with pytest.raises(DomainError, match=r"s_grid has shape \(199,\), lam_grid \(201,\)"):
-        delta_surface_max(s_grid[:-1], lam_grid, surface=surface)
-    with pytest.raises(DomainError, match=r"s_grid has shape \(200,\), lam_grid \(200,\)"):
-        delta_surface_max(s_grid, lam_grid[1:], surface=surface)
+    # a surface with a row or a column more than the fixed grid
+    surface = delta_surface()
+    for bigger in (np.vstack([surface, surface[-1:]]), np.hstack([surface, surface[:, -1:]])):
+        with pytest.raises(DomainError, match=r"surface of shape \(\d+, \d+\) is not "
+                                              r"\(200, 201\)"):
+            delta_surface_max(bigger)
 
 
 def test_delta_surface_max_refuses_grids_longer_than_the_surface():
-    s_grid, lam_grid, surface = delta_surface()
-    with pytest.raises(DomainError, match=r"s_grid has shape \(201,\), lam_grid \(201,\)"):
-        delta_surface_max(np.append(s_grid, 7.0), lam_grid, surface=surface)
-    with pytest.raises(DomainError, match=r"s_grid has shape \(200,\), lam_grid \(202,\)"):
-        delta_surface_max(s_grid, np.append(lam_grid, 1.0), surface=surface)
-    # grids of the right shape are still checked, once, for their domain
-    with pytest.raises(DomainError, match="S_bar must be"):
-        delta_surface_max(-s_grid, lam_grid, surface=surface)
-
-
-@pytest.mark.parametrize("computed", [True, False])
-@pytest.mark.parametrize("flip", ["s_grid", "lam_grid"])
-def test_delta_surface_max_refuses_a_grid_not_ascending(flip, computed):
-    # reversed, the argmax's neighbours made an inverted box and a wrong maximum
-    s_grid, lam_grid, _ = delta_surface()
-    for bad in (lambda grid: grid[::-1], lambda grid: np.insert(grid, 1, grid[1])):
-        grids = {"s_grid": s_grid, "lam_grid": lam_grid}
-        grids[flip] = bad(grids[flip])
-        surface = {} if computed else {"surface": delta_surface(**grids)[2]}
-        with pytest.raises(DomainError, match=f"^{flip} is not strictly ascending"):
-            delta_surface_max(**grids, **surface)
+    # a surface with a row or a column less than the fixed grid, transposed or 1-D
+    surface = delta_surface()
+    for smaller in (surface[:-1], surface[:, 1:], surface[0], surface.T):
+        with pytest.raises(DomainError, match=r"surface of shape .* is not \(200, 201\)"):
+            delta_surface_max(smaller)
 
 
 def _sup_reference():
@@ -594,6 +567,16 @@ def test_suite_takes_one_spectrum_of_each_chunk(with_stam, monkeypatch):
     assert shapes[2::3] == [(3, r, 3, 2, 2) for r in rows]
 
 
+@pytest.mark.parametrize("r_max", [np.nextafter(inequalities.SUITE_R_MAX, math.inf),
+                                   10.0, 400.0, math.nan])
+def test_suite_refuses_r_max_above_cap_before_any_draw(r_max, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the suite drew a state")
+    monkeypatch.setattr(inequalities, "random_gaussian_state", no_draw)
+    with pytest.raises(DomainError, match=r"^r_max must be in \[0.0, 4.0\]"):
+        random_qepi_suite(10, 0, MixingParams.beam_splitter(0.5), r_max=r_max)
+
+
 def _trial_reports(seed, idx, params, mixer=mix):
     """Every check of one replayed trial, from the scalar predicates."""
     a, b = _replay_pair(seed, idx)
@@ -605,7 +588,7 @@ def _trial_reports(seed, idx, params, mixer=mix):
     if params.kind == "beam_splitter":
         reports["epni_floor"] = epni_gap(n_a, n_b, n_c, params.lambda_A)
     abc = GaussianState(1, np.stack([a.gamma, b.gamma, c.gamma]), validate=False)
-    if np.all(full_rank(abc)):
+    if np.all(spectrum_full_rank(symplectic_eigenvalues(abc))):
         reports["stam"] = stam_check(*fisher_total_gaussian(abc).tolist(), params)
     return reports
 
