@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .channels import BEAM_SPLITTER, MixingParams
+from .channels import MixingParams
 from .symplectic import DomainError, NumericError, require
 
 HERMITICITY_TOL = 1e-12
@@ -43,7 +43,13 @@ class AccuracyError(NumericError):
     """A numerical routine failed its embedded accuracy estimate."""
 
 
-@dataclass(frozen=True)
+def _gate(leak: float, what: str, dim: int) -> None:
+    """The cutoff gate: refuse a leak above LEAK_TOL."""
+    if leak > LEAK_TOL:
+        raise CutoffError(f"{what} {leak:.3e} exceeds {LEAK_TOL} at cutoff {dim}", leak=leak)
+
+
+@dataclass(frozen=True, eq=False)
 class FockDensityMatrix:
     """A density matrix on dim Fock levels, validated and read-only once built.
 
@@ -188,10 +194,7 @@ def thermal_state(mean_photons: float, dim: int) -> FockDensityMatrix:
     n = np.arange(dim)
     logp = n * math.log(mean_photons) - (n + 1) * math.log(mean_photons + 1.0)
     probs = np.exp(logp)
-    tail = 1.0 - probs.sum()
-    if tail > LEAK_TOL:
-        raise CutoffError(f"thermal({mean_photons}) tail {tail:.3e} exceeds "
-                          f"{LEAK_TOL} at cutoff {dim}", leak=tail)
+    _gate(1.0 - probs.sum(), f"thermal({mean_photons}) tail", dim)
     return FockDensityMatrix(np.diag(probs.astype(complex)))
 
 
@@ -204,10 +207,7 @@ def coherent_state(alpha: complex, dim: int) -> FockDensityMatrix:
     amps = np.exp(-0.5 * abs(alpha) ** 2 + log_amp - 0.5 * log_factorial)
     if alpha != 0:
         amps = amps * np.exp(1j * n * np.angle(alpha))
-    norm = float(np.vdot(amps, amps).real)
-    if 1.0 - norm > LEAK_TOL:
-        raise CutoffError(f"coherent({alpha}) tail {1-norm:.3e} exceeds "
-                          f"{LEAK_TOL} at cutoff {dim}", leak=1.0 - norm)
+    _gate(1.0 - float(np.vdot(amps, amps).real), f"coherent({alpha}) tail", dim)
     return FockDensityMatrix(np.outer(amps, amps.conj()))
 
 
@@ -221,95 +221,141 @@ def squeezed_thermal_state(r: float, mean_photons: float, dim: int) -> FockDensi
     rho = squeezer @ base.rho @ squeezer.conj().T
     rho /= np.trace(rho).real
     out = FockDensityMatrix(rho)
-    leak = trace_leak(out)
-    if leak > LEAK_TOL:
-        raise CutoffError(f"squeezed thermal leak {leak:.3e} at cutoff {dim}", leak=leak)
+    _gate(trace_leak(out), "squeezed thermal leak", dim)
     return out
 
 
 # ---------------------------------------------------------------------------
 # channels
 
-class _Sectors:
-    """The charge sectors of one mixing channel at one cutoff.
+class _Amplitudes:
+    """The beam splitter's amplitudes inside the cutoff box, one block per sector.
 
-    The beam splitter theta (a^dag b - a b^dag) conserves n_A + n_B and the
-    amplifier r (a^dag b^dag - a b) conserves n_A - n_B, also after
-    truncation.  Both are the charge n_A + label_b[n_B], where label_b
-    relabels n_B as dim - 1 - n_B when B is reversed (the amplifier) and
-    is the identity otherwise; amplifier sector k is beam-splitter sector k
-    so relabelled.  Sector k holds the pairs of charge k, at most dim of
-    them, and U acts on it as a real orthogonal block.  Ordered by n_A, the
-    block's generator is skew and tridiagonal, with entry
-    angle * sqrt(n_A' max(n_B, n_B')) from (n_A, n_B) to its neighbour
-    (n_A', n_B') = (n_A + 1, n_B -+ 1).  Each block is built on first use
-    and kept read-only.  The first mix with one Fock-diagonal input also
-    allocates the dense W of dense(), which every block then fills.
+    U = exp(theta (a^dag b - a b^dag)), c = cos theta = sqrt(tau) and
+    s = sqrt(1 - tau), conserves k = n_A + n_B.  Block k is B_k[x, a] =
+    <x, k - x|U|a, k - a> over the levels x, a in [lo_k, lo_k + size_k)
+    that keep both modes below the cutoff.  The symmetric recurrence (after
+    Risbo, J. Geodesy 70, 383 (1996))
+
+        k B_k[x, a] = sqrt(a) (c sqrt(x) B_{k-1}[x-1, a-1] - s sqrt(y) B_{k-1}[x, a-1])
+                    + sqrt(b) (s sqrt(x) B_{k-1}[x-1, a] + c sqrt(y) B_{k-1}[x, a]),
+
+    y = k - x and b = k - a, reads only in-box entries of sector k - 1: the
+    blocks are exact to rounding.  They are built in order up to the highest
+    sector asked for, as read-only views of one flat buffer, and kept for
+    the last 8 (tau, cutoff).
+    """
+
+    def __init__(self, tau: float, dim: int):
+        k = np.arange(2 * dim - 1)
+        self.lo = np.maximum(0, k - dim + 1)
+        self.size = np.minimum(k, dim - 1) - self.lo + 1
+        self.offset = np.concatenate(([0], np.cumsum(self.size ** 2)))
+        self.flat = np.empty(self.offset[-1])
+        self.blocks = []
+        self._pad = np.zeros((dim + 1, dim + 1))    # the last block, B[x, a] at [x + 1, a + 1]
+        self._root = np.sqrt(k)
+        self._c_root, self._s_root = math.sqrt(tau) * self._root, math.sqrt(1.0 - tau) * self._root
+
+    def levels(self, k: int) -> tuple[slice, slice]:
+        """The levels x (or a) of sector k, ascending, and y = k - x (or b)."""
+        lo, n = int(self.lo[k]), int(self.size[k])
+        return slice(lo, lo + n), slice(k - lo, k - lo - n if k >= lo + n else None, -1)
+
+    def upto(self, top: int) -> list[np.ndarray]:
+        """Blocks 0 .. top, each built the first time a mix reaches its sector."""
+        root, c_root, s_root = self._root, self._c_root, self._s_root
+        while len(self.blocks) <= top:
+            k = len(self.blocks)
+            x, y = self.levels(k)
+            lo, n = x.start, x.stop - x.start
+            block = self.flat[self.offset[k]:self.offset[k + 1]].reshape(n, n)
+            if k == 0:
+                block[0, 0] = 1.0
+            else:
+                last = self._pad[lo:lo + n + 1, lo:lo + n + 1]
+                up, down = last[:-1], last[1:]      # rows x - 1 and x of B_{k-1}
+                first = c_root[x, None] * up[:, :-1] - s_root[y, None] * down[:, :-1]
+                second = s_root[x, None] * up[:, 1:] + c_root[y, None] * down[:, 1:]
+                np.multiply(first, root[x], out=block)      # first: columns a - 1
+                block += second * root[y]
+                block /= k
+            # the pad entries sector k + 1 reads beyond this block stay zero
+            self._pad[lo + 1:lo + n + 1, lo + 1:lo + n + 1] = block
+            block.flags.writeable = False
+            self.blocks.append(block)
+        return self.blocks
+
+
+class _Sectors:
+    """One mixing channel at one cutoff; a store is kept for the last 8 mixed.
+
+    Beam splitter lambda reads U at tau = lambda (see _Amplitudes).  The
+    amplifier of gain kappa is U at tau = 1 / kappa with B's input and
+    output exchanged, <x, y|S|a, b> = kappa^(-1/2) <x, b|U|a, y>.  Both
+    conserve n_A + label_b[n_B], label_b reversing n_B when B is (the
+    amplifier).  Sector q's real block is U's own, or gathered from U's
+    sectors; the blocks, the charge order and W are kept read-only.
     """
 
     def __init__(self, p: MixingParams, dim: int):
         self.dim = dim
-        # an involution of 0 .. dim - 1
-        self.label_b = np.arange(dim)[::-1] if p.reversed_b else np.arange(dim)
-        if p.kind == BEAM_SPLITTER:
-            self.angle = math.atan(math.sqrt((1.0 - p.lambda_A) / p.lambda_A))
-        else:
-            self.angle = math.atanh(math.sqrt((p.lambda_A - 1.0) / p.lambda_A))
-        self.blocks = [None] * (2 * dim - 1)
+        self.dual = p.reversed_b
+        self.label_b = np.arange(dim)[::-1] if self.dual else np.arange(dim)
+        self.amps = _amplitudes(1.0 / p.lambda_A if self.dual else p.lambda_A, dim)
+        self.scale = 1.0 / math.sqrt(p.lambda_A) if self.dual else 1.0
+        self.blocks = [None] * (2 * dim - 1)     # the amplifier's, see block()
         self.w = None       # the dense W, see dense()
+        self.filled = 0     # W holds U's sectors 0 .. filled - 1
 
-    def charge(self, n_a, n_b):
-        return n_a + self.label_b[n_b]
+    @functools.cached_property
+    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """n_A, n_B of the dim^2 pairs in charge order, the position of pair
+        (n_A, n_B) at n_A dim + n_B, and the sector edges; read-only."""
+        n_a, n_b = np.divmod(np.arange(self.dim * self.dim), self.dim)
+        order = np.argsort(n_a + self.label_b[n_b], kind="stable")
+        edges = np.concatenate(([0], np.cumsum(self.amps.size)))
+        arrays = n_a[order], n_b[order], np.argsort(order), edges
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
 
-    def live(self, supp_a: np.ndarray, supp_b: np.ndarray) -> np.ndarray:
-        """The sectors that hold a pair (n_A, n_B) in both supports."""
-        return np.flatnonzero(np.convolve(supp_a.astype(float),
-                                          supp_b[self.label_b].astype(float)))
+    def block(self, q: int) -> np.ndarray:
+        """The block of sector q, rows and columns by ascending n_A."""
+        amps = self.amps
+        if not self.dual:
+            return amps.upto(q)[q]
+        if self.blocks[q] is None:
+            x = np.arange(amps.lo[q], amps.lo[q] + amps.size[q])
+            k = x[:, None] + x - q + self.dim - 1       # <x, y|S|a, b> is in U's sector x + b
+            amps.upto(k[-1, -1])
+            lo = amps.lo[k]
+            u = self.scale * amps.flat[amps.offset[k] + (x[:, None] - lo) * amps.size[k] + x - lo]
+            u.flags.writeable = False
+            self.blocks[q] = u
+        return self.blocks[q]
 
-    def block(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """n_A (ascending), n_B and the block of sector k, built on first use."""
-        if self.blocks[k] is None:
-            dim = self.dim
-            n_a = np.arange(max(0, k - dim + 1), min(k, dim - 1) + 1)
-            n_b = self.label_b[k - n_a]
-            off = self.angle * np.sqrt(n_a[1:] * np.maximum(n_b[:-1], n_b[1:]))
-            import scipy.linalg as sla
-            u = sla.expm(np.diag(off, -1) - np.diag(off, 1))
-            for array in (n_a, n_b, u):
-                array.flags.writeable = False
-            self.blocks[k] = (n_a, n_b, u)
-            if self.w is not None:
-                self._fill(k)
-        return self.blocks[k]
-
-    def _fill(self, k: int) -> None:
-        n_a, n_b, u = self.blocks[k]
-        self.w[n_b, n_a[0]:n_a[-1] + 1, n_a] = u.T
-
-    def dense(self, live: np.ndarray) -> np.ndarray:
-        """W[b, x, a] = <x, y|U|a, b>, y fixed by the charge, over every built sector.
-
-        W is dim^3 doubles, zero outside the built sectors.  It is allocated
-        on the first call, filled from the blocks built so far and then by
-        each block as it is built; the live sectors are built here.
-        Returned read-only.
-        """
+    def dense(self, top: int) -> np.ndarray:
+        """W[b, x, a] = <x, y|U|a, b>, y fixed by the charge, read-only: dim^3
+        doubles, filled through U's sector top; past it only zero inputs meet W."""
         if self.w is None:
             self.w = np.zeros((self.dim, self.dim, self.dim))
-            for k, block in enumerate(self.blocks):
-                if block is not None:
-                    self._fill(k)
-        for k in [k for k in live if self.blocks[k] is None]:
-            self.block(k)
+        amps = self.amps
+        for k, u in enumerate(amps.upto(top)[self.filled:top + 1], start=self.filled):
+            x = amps.levels(k)[0]
+            v = np.arange(x.start, x.stop)
+            if self.dual:       # sector k holds W[k - x, x, a]
+                self.w[k - v, v, x] = self.scale * u
+            else:               # and W[k - a, x, a] of the beam splitter
+                self.w[k - v, x, v] = u.T
+        self.filled = max(self.filled, top + 1)
         view = self.w.view()
         view.flags.writeable = False
         return view
 
 
-@functools.lru_cache(maxsize=8)
-def _sectors(p: MixingParams, dim: int) -> _Sectors:
-    """The sector store: the blocks, and W once needed, of the last 8 channels mixed."""
-    return _Sectors(p, dim)
+_amplitudes = functools.lru_cache(maxsize=8)(_Amplitudes)
+_sectors = functools.lru_cache(maxsize=8)(_Sectors)
 
 
 def _eigen_floor(w: np.ndarray, dim: int) -> float:
@@ -343,8 +389,8 @@ def _populations(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray, bool]:
 
 
 def _mix_components(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
-                    sectors: _Sectors) -> tuple[np.ndarray, float]:
-    """Output and top-layer population from the pure components.
+                    sectors: _Sectors) -> np.ndarray:
+    """The output when neither input is diagonal, from their pure components.
 
     The product vectors phi_j x psi_k are laid out in charge order, about
     2 dim at a time, so each sector is a contiguous row slice rotated by its
@@ -352,35 +398,22 @@ def _mix_components(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
     """
     from scipy.linalg.blas import zherk
     dim = rho_a.dim
-    n_a, n_b = np.divmod(np.arange(dim * dim), dim)
-    charge = sectors.charge(n_a, n_b)
-    order = np.argsort(charge, kind="stable")
-    sa, sb = n_a[order], n_b[order]
-    comp_a, comp_b = _pure_components(rho_a)[sa], _pure_components(rho_b)[sb]
+    n_a, n_b, position, edges = sectors.layout
+    comp_a, comp_b = _pure_components(rho_a)[n_a], _pure_components(rho_b)[n_b]
     live = np.any(comp_a, axis=1) & np.any(comp_b, axis=1)
-    edges = np.concatenate(([0], np.flatnonzero(np.diff(charge[order])) + 1, [dim * dim]))
-    blocks = [(lo, hi, sectors.block(charge[order[lo]])[2])
-              for lo, hi in zip(edges[:-1], edges[1:]) if live[lo:hi].any()]
-    inverse = np.argsort(order)
+    blocks = [(edges[q], edges[q + 1], sectors.block(q))
+              for q in np.flatnonzero(np.logical_or.reduceat(live, edges[:-1]))]
     step = max(1, 2 * dim // comp_b.shape[1])
     acc = np.zeros((dim, dim), dtype=complex, order="F")
-    joint = np.zeros(dim * dim)
     for j in range(0, comp_a.shape[1], step):
         vecs = (comp_a[:, j:j + step, None] * comp_b[:, None, :]).reshape(dim * dim, -1)
         flat = vecs.view(float)
         for lo, hi, u in blocks:
             flat[lo:hi] = u @ flat[lo:hi]
-        joint += np.einsum("ij,ij->i", flat, flat)
         # rows n_A, columns (n_B, component); zherk on m.T adds conj(m m^dag)
-        m = vecs[inverse].reshape(dim, -1)
+        m = vecs[position].reshape(dim, -1)
         acc = zherk(1.0, m.T, beta=1.0, c=acc, trans=2, overwrite_c=1)
-    out = np.triu(acc).conj() + np.triu(acc, 1).T      # acc: conj(rho), upper triangle
-    return out, _top_layer(joint[inverse].reshape(dim, dim))
-
-
-def _top_layer(joint: np.ndarray) -> float:
-    """Population of the top layer (n_A or n_B = dim - 1) of joint[n_A, n_B]."""
-    return float(joint[-1, :].sum() + joint[:, -1].sum() - joint[-1, -1])
+    return np.triu(acc).conj() + np.triu(acc, 1).T      # acc: conj(rho), upper triangle
 
 
 def _shift_sum(h: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -403,33 +436,36 @@ def _shift_sum(h: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 
 def _mix_diagonal(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
-                  sectors: _Sectors) -> tuple[np.ndarray, float]:
-    """Output and top-layer population when an input is Fock-diagonal.
+                  sectors: _Sectors) -> np.ndarray:
+    """The output when an input is Fock-diagonal, O(dim^3 n), n the span of its support.
 
-    The joint output populations need only the inputs' diagonals, since U
-    conserves the charge.  With both inputs diagonal they are built sector
-    by sector and are the output itself.  With one diagonal input the
-    output is a sum of shifted copies of the other (see two_mode_mix),
-    taken from the channel's dense W, and the populations enter only the
-    leak gate, as contractions of P = p x r with dim x dim weights from W^2.
-
-    The 2 dim - 1 shifts fold into dim.  For 0 < s < dim, shift s reads
-    only the rows x < dim - s (where x + s < dim) and shift s - dim only the
-    rows x >= dim - s, so fold s takes row x from whichever of the two reads
-    it, at t = x + s (mod dim); its sigma~_s keeps the two shifts' blocks
-    apart (see _shift_sum).
+    W[b, x, a] = <x, y|U|a, b>, y fixed by the charge; p and r are the
+    populations of rho_A and rho_B.  Both diagonal: rho_C[x, x] = sum_{a, b}
+    W[b, x, a]^2 p_a r_b, over U's sectors.  One diagonal: rho_C = sum_s H_s
+    * sigma[x + s, x' + s] over s = 1 - dim .. dim - 1.  rho_B diagonal gives
+    sigma = rho_A, H_s[x, x'] = sum_b r_b W[b, x, x + s] W[b, x', x' + s];
+    rho_A diagonal gives sigma = rho_B relabelled in both indices, H_s[x, x']
+    = sum_a p_a W[b, x, a] W[b', x', a], b and b' labelled x + s and x' + s.
+    The shifts fold into dim: shift s (0 < s < dim) reads only the rows
+    x < dim - s and shift s - dim only the others, so fold s takes row x
+    from whichever reads it, at t = x + s (mod dim) (see _shift_sum).
     """
     dim = rho_a.dim
     pop_a, supp_a, diag_a = _populations(rho_a)
     pop_b, supp_b, diag_b = _populations(rho_b)
-    live = sectors.live(supp_a, supp_b)
+    # the highest sector of U a pair in the supports reaches: a + b, or x + b = a + y
+    top_a, top_b = np.flatnonzero(supp_a)[-1], np.flatnonzero(supp_b)[-1]
+    top = dim - 1 + min(top_a, top_b) if sectors.dual else top_a + top_b
     if diag_a and diag_b:
-        joint = np.outer(pop_a, pop_b)     # input populations, then output ones
-        for k in live:
-            n_a, n_b, u = sectors.block(k)
-            joint[n_a, n_b] = (u * u) @ joint[n_a, n_b]
-        return np.diag(joint.sum(axis=1)).astype(complex), _top_layer(joint)
-    w = sectors.dense(live)
+        amps, out = sectors.amps, np.zeros(dim)
+        for k, u in enumerate(amps.upto(top)[:top + 1]):
+            x, y = amps.levels(k)
+            if sectors.dual:
+                out[x] += pop_b[y] * ((u * u) @ pop_a[x])
+            else:
+                out[x] += (u * u) @ (pop_a[x] * pop_b[y])
+        return np.diag(sectors.scale ** 2 * out).astype(complex)
+    w = sectors.dense(top)
     label = sectors.label_b
     x = np.arange(dim)
     t = (x + x[:, None]) % dim                      # t[s, x] = x + s (mod dim)
@@ -446,64 +482,29 @@ def _mix_diagonal(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
         sigma = rho_b.rho[np.ix_(label, label)]
         g = w.reshape(dim * dim, dim)[:, span].take(label[t] * dim + x, axis=0)
         g *= np.sqrt(pop_a[span])
-    out = _shift_sum(g @ g.transpose(0, 2, 1), sigma)
-    # pair (a, b) reaches (x, y = dim - 1) at x = a + label[b] - label[dim - 1]
-    pops = np.outer(pop_b, pop_a)                   # [b, a]
-    x_top = x + (label - label[-1])[:, None]
-    edge = (x_top >= 0) & (x_top < dim - 1)         # y's top layer, x's left out
-    at_y = w.take((x[:, None] * dim + np.where(edge, x_top, 0)) * dim + x)
-    top = np.square(w[:, -1, :]) + np.where(edge, np.square(at_y), 0.0)
-    return out, float(np.vdot(top, pops))
+    return _shift_sum(g @ g.transpose(0, 2, 1), sigma)
 
 
 def two_mode_mix(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
                  p: MixingParams) -> FockDensityMatrix:
     """Tr_B[U (rho_A x rho_B) U^dag] for the beam splitter / amplifier.
 
-    U is block-diagonal by charge (see _Sectors); the blocks of the sectors
-    the inputs populate come from a store kept per channel.  Write
-    W[b, x, a] = <x, y|U|a, b>, with y fixed by the charge.  The contraction
-    follows the inputs' structure:
-
-    - both Fock-diagonal (populations p, r): the output is diagonal,
-      rho_C[x, x] = sum_{a, b} W[b, x, a]^2 p_a r_b, which is sum_q |U_q|^2
-      (p x r)_q per sector, marginalised.  Cost O(dim^3).
-    - one diagonal: rho_C = sum_s H_s * sigma[x + s, x' + s] over the
-      shifts s = 1 - dim .. dim - 1, with sigma the other input and H_s
-      real symmetric.  rho_B = diag(r) gives sigma = rho_A and H_s[x, x'] =
-      sum_b r_b W[b, x, x + s] W[b, x', x' + s]; rho_A = diag(p) gives
-      H_s[x, x'] = sum_a p_a W[b, x, a] W[b', x', a], with b and b'
-      labelled x + s and x' + s and sigma = rho_B relabelled in both
-      indices (see _Sectors).  The store keeps W densely for this route;
-      the shifts fold into dim batched products (see _mix_diagonal).  Cost
-      O(dim^3 n), n the span of the diagonal input's support.
-    - neither: with rho_A = sum_j r_j |phi_j><phi_j| and rho_B =
-      sum_k s_k |psi_k><psi_k| (one eigh each), the output is
-      sum_jk r_j s_k M_jk M_jk^dag, where M_jk is U (phi_j x psi_k) read as
-      an n_A x n_B matrix.  Cost rank_A rank_B dim^3.
-
-    The dim^2 x dim^2 joint state is never formed; memory is O(dim^3).  A
-    diagonal input's populations at or below dim * eps * max are dropped,
-    as are the eigenvalues of a general one; the cutoff gate counts the
-    joint output population of the top Fock layer of either mode plus the
-    output's trace deficit, so it also counts that mass, and refuses a sum
-    above LEAK_TOL.
+    U's blocks hold the exact channel's amplitudes between levels below the
+    cutoff (see _Sectors).  The contraction follows the inputs' structure,
+    in O(dim^3) memory (see _mix_diagonal and _mix_components).  The trace
+    deficit 1 - tr rho_C is exactly the output mass above the cutoff, plus
+    the inputs' weights at or below dim * eps * max, which are dropped; the
+    cutoff gate refuses it above LEAK_TOL.
     """
     if rho_a.dim != rho_b.dim:
         raise DomainError("two_mode_mix needs two states of equal cutoff")
     dim = rho_a.dim
     if p.lambda_A == 0.0:        # a beam splitter; an amplifier has lambda_A >= 1
         return rho_b
-    sectors = _sectors(p, dim)
-    if _is_diagonal(rho_a.rho) or _is_diagonal(rho_b.rho):
-        out, top = _mix_diagonal(rho_a, rho_b, sectors)
-    else:
-        out, top = _mix_components(rho_a, rho_b, sectors)
+    diagonal = _is_diagonal(rho_a.rho) or _is_diagonal(rho_b.rho)
+    out = (_mix_diagonal if diagonal else _mix_components)(rho_a, rho_b, _sectors(p, dim))
     tr = np.trace(out).real
-    leak = top + abs(1.0 - tr)
-    if leak > LEAK_TOL:
-        raise CutoffError(f"mixing leak {leak:.3e} exceeds {LEAK_TOL} at cutoff {dim}",
-                          leak=leak)
+    _gate(abs(1.0 - tr), "mixing leak", dim)
     out /= tr
     return FockDensityMatrix(out)
 
@@ -615,9 +616,7 @@ def displace_fock(rho: FockDensityMatrix, direction: str,
         r = np.array([1, 1j, -1, -1j])[np.arange(rho.dim) % 4]      # i^n, exactly
         u = r.conj()[:, None] * u * r
     fdm = _unitary_image(rho, u)
-    leak = trace_leak(fdm)
-    if leak > LEAK_TOL:
-        raise CutoffError(f"displacement leak {leak:.3e} at cutoff {rho.dim}", leak=leak)
+    _gate(trace_leak(fdm), "displacement leak", rho.dim)
     return fdm
 
 

@@ -162,7 +162,7 @@ def test_oracle_non_finite_state_exits_one(monkeypatch, capsys):
     def nan_mix(rho_a, rho_b, sectors):
         out = np.eye(rho_a.dim, dtype=complex) / rho_a.dim
         out[0, 1] = np.nan
-        return out, 0.0
+        return out
     monkeypatch.setattr(fock, "_mix_diagonal", nan_mix)
     assert main(["oracle", "--cutoff", "30"]) == 1
     err = capsys.readouterr().err.strip().splitlines()

@@ -2,6 +2,7 @@ import functools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -106,15 +107,14 @@ def test_oracle_gaussian_agreement_amplifier(kappa):
 
 
 def test_two_mode_mix_cutoff_gate(monkeypatch):
-    # the leak is the joint output population of the top Fock layer of
-    # either mode plus the trace deficit
+    # the amplitudes are exact, so the leak is the joint output mass that
+    # leaves the box: the trace deficit of the exact joint output in it
     dim = 12
     vac = fock.vacuum_state(dim)
     pops = 0.5 ** np.arange(dim)
     hot = fock.FockDensityMatrix(np.diag(pops / pops.sum()).astype(complex))
     full = _random_state(np.random.default_rng(12), dim)
     cases = [(vac, vac, MixingParams.amplifier(2.0)),
-             (hot, vac, MixingParams.beam_splitter(0.5)),
              (fock.fock_state(2, dim), hot, MixingParams.amplifier(1.1)),
              (hot, fock.coherent_state(1.0, dim), MixingParams.beam_splitter(0.3)),
              # neither input diagonal: the pure-component route
@@ -125,12 +125,19 @@ def test_two_mode_mix_cutoff_gate(monkeypatch):
     for rho_a, rho_b, p in cases:
         with pytest.raises(fock.CutoffError) as err:
             fock.two_mode_mix(rho_a, rho_b, p)
-        joint = np.diagonal(_dense_joint(rho_a, rho_b, p)).real.reshape(dim, dim)
-        top = joint[-1, :].sum() + joint[:, -1].sum() - joint[-1, -1]
-        assert err.value.leak == pytest.approx(top + abs(1.0 - joint.sum()),
-                                               rel=0.0, abs=1e-12)
+        mass = np.trace(_exact_joint(rho_a, rho_b, p)).real
+        assert err.value.leak == pytest.approx(abs(1.0 - mass), rel=0.0, abs=1e-12)
         assert err.value.leak > 1e-10
     assert not fock._is_diagonal(cases[-1][0].rho) and not fock._is_diagonal(full.rho)
+    # the beam splitter conserves photon number: hot x vacuum stays in the
+    # box, which the top-layer gate of truncated blocks refused
+    out = fock.two_mode_mix(hot, vac, MixingParams.beam_splitter(0.5))
+    assert np.max(np.abs(out.rho - _exact_mix(hot, vac, MixingParams.beam_splitter(0.5)))) < 1e-12
+    # vacuum x vacuum through amplifier(2) is thermal(1), which puts 2^-dim
+    # above the cutoff
+    with pytest.raises(fock.CutoffError) as err:
+        fock.two_mode_mix(vac, vac, MixingParams.amplifier(2.0))
+    assert err.value.leak == pytest.approx(0.5 ** dim, rel=1e-12)
 
 
 def test_vn_entropy_maximally_mixed():
@@ -229,29 +236,57 @@ def _random_diagonal(rng, dim):
     return fock.FockDensityMatrix(np.diag(pops / pops.sum()).astype(complex))
 
 
+# The exact references below share no code with qepi's recurrence.  The
+# beam splitter conserves n_A + n_B, so every sector that meets the box
+# of REF_DIM levels lies inside the (2 REF_DIM - 1)^2 product space, where
+# expm of the truncated generator is exact.  The amplifier conserves
+# n_A - n_B and every sector is infinite: each is exponentiated on its
+# first AMP_SECTOR_SIZE pairs, which converges in the box to about 4e-15
+# at kappa = 16 (the 40^2 and 60^2 product spaces have not converged
+# there).
+REF_DIM = 12
+AMP_SECTOR_SIZE = 200
+
+
 @functools.lru_cache(maxsize=None)
-def _dense_unitary(p, dim):
-    """Reference: expm of the dense generator on the dim^2 product space."""
-    a = fock.ladder(dim)
-    op_a, op_b = np.kron(a, np.eye(dim)), np.kron(np.eye(dim), a)
+def _exact_box(p):
+    """<x, y|U|a, b> for x, y, a, b < REF_DIM, as [x, y, a, b]."""
     if p.kind == BEAM_SPLITTER:
+        size = 2 * REF_DIM - 1
+        a = np.diag(np.sqrt(np.arange(1.0, size)), 1)
+        op_a, op_b = np.kron(a, np.eye(size)), np.kron(np.eye(size), a)
         theta = math.atan(math.sqrt((1.0 - p.lambda_A) / p.lambda_A))
-        gen = theta * (op_a.conj().T @ op_b - op_a @ op_b.conj().T)
-    else:
-        r = math.atanh(math.sqrt((p.lambda_A - 1.0) / p.lambda_A))
-        gen = r * (op_a.conj().T @ op_b.conj().T - op_a @ op_b)
-    return sla.expm(gen)
+        u = sla.expm(theta * (op_a.T @ op_b - op_a @ op_b.T)).reshape((size,) * 4)
+        return u[:REF_DIM, :REF_DIM, :REF_DIM, :REF_DIM]
+    r = math.atanh(math.sqrt((p.lambda_A - 1.0) / p.lambda_A))
+    box = np.zeros((REF_DIM,) * 4)
+    for d in range(1 - REF_DIM, REF_DIM):              # the sector n_A - n_B = d
+        n_a = np.arange(max(0, d), max(0, d) + AMP_SECTOR_SIZE)
+        n_b = n_a - d
+        off = r * np.sqrt(n_a[1:] * n_b[1:])
+        u = sla.expm(np.diag(off, -1) - np.diag(off, 1))
+        n = REF_DIM - abs(d)
+        box[n_a[:n, None], n_b[:n, None], n_a[:n], n_b[:n]] = u[:n, :n]
+    return box
 
 
-def _dense_joint(rho_a, rho_b, p):
-    u = _dense_unitary(p, rho_a.dim)
-    return u @ np.kron(rho_a.rho, rho_b.rho) @ u.conj().T
-
-
-def _dense_mix(rho_a, rho_b, p):
+def _exact_joint(rho_a, rho_b, p):
+    """The joint output inside the box of rho_a.dim levels, unnormalised."""
     dim = rho_a.dim
-    out = np.einsum("ijkj->ik", _dense_joint(rho_a, rho_b, p).reshape(dim, dim, dim, dim))
+    u = _exact_box(p)[:dim, :dim, :dim, :dim].reshape(dim * dim, dim * dim)
+    return u @ np.kron(rho_a.rho, rho_b.rho) @ u.T
+
+
+def _exact_mix(rho_a, rho_b, p):
+    dim = rho_a.dim
+    out = np.einsum("ijkj->ik", _exact_joint(rho_a, rho_b, p).reshape(dim, dim, dim, dim))
     return out / np.trace(out).real
+
+
+def _cold():
+    """Empty the channel and amplitude stores."""
+    fock._sectors.cache_clear()
+    fock._amplitudes.cache_clear()
 
 
 @pytest.mark.parametrize("params", [MixingParams.beam_splitter(0.3),
@@ -287,9 +322,9 @@ def test_two_mode_mix_matches_dense_reference(params, dim, monkeypatch):
     monkeypatch.setattr(fock, "LEAK_TOL", 1.0)
     cold = {}
     for name, (a, b) in pairs.items():
-        fock._sectors.cache_clear()
+        _cold()
         cold[name] = fock.two_mode_mix(a, b, params)
-        err = np.max(np.abs(cold[name].rho - _dense_mix(a, b, params)))
+        err = np.max(np.abs(cold[name].rho - _exact_mix(a, b, params)))
         assert err < 1e-12, (name, err)
     # a store that every pair has filled gives the same bits as an empty
     # one, and the blocks it holds are read-only
@@ -299,8 +334,152 @@ def test_two_mode_mix_matches_dense_reference(params, dim, monkeypatch):
         warm = fock.two_mode_mix(a, b, params)
         assert np.array_equal(warm.rho, cold[name].rho), name
     store = fock._sectors(params, dim)
-    blocks = [array for block in store.blocks if block is not None for array in block]
-    assert blocks and not any(array.flags.writeable for array in blocks)
+    blocks = [u for u in store.blocks if u is not None] + store.amps.blocks
+    assert blocks and not any(u.flags.writeable for u in blocks)
+    assert not any(array.flags.writeable for array in store.layout)
+
+
+def _exact_w(p, dim):
+    """W[b, x, a] = <x, y|U|a, b> of the exact reference, y fixed by the charge."""
+    box = _exact_box(p)
+    b, x, a = np.indices((dim,) * 3)
+    y = x - a + b if p.reversed_b else a + b - x
+    inside = (y >= 0) & (y < dim)
+    return np.where(inside, box[x, np.where(inside, y, 0), a, b], 0.0)
+
+
+@pytest.mark.parametrize("params", [MixingParams.beam_splitter(0.3),
+                                    MixingParams.beam_splitter(0.9),
+                                    MixingParams.amplifier(1.1),
+                                    MixingParams.amplifier(2.0),
+                                    MixingParams.amplifier(16.0)])
+@pytest.mark.parametrize("dim", [8, 12])
+def test_amplitudes_match_exact_reference(params, dim):
+    # every amplitude between levels below the cutoff, sectors k >= dim too
+    _cold()
+    w = fock._sectors(params, dim).dense(2 * dim - 2)
+    assert np.max(np.abs(w - _exact_w(params, dim))) < 1e-13
+
+
+def _bs_amplitude(tau, x, y, a, b):
+    """<x, y|U|a, b> of the beam splitter, expanded from U a^dag U^dag = c a^dag - s b^dag
+    and U b^dag U^dag = s a^dag + c b^dag."""
+    c, s = mpmath.sqrt(tau), mpmath.sqrt(1 - tau)
+    total = mpmath.fsum(mpmath.binomial(a, i) * mpmath.binomial(b, x - i) * (-1) ** (a - i)
+                        * c ** (b - x + 2 * i) * s ** (a + x - 2 * i)
+                        for i in range(max(0, x - b), min(a, x) + 1))
+    return total * mpmath.sqrt(mpmath.factorial(x) * mpmath.factorial(y)
+                               / (mpmath.factorial(a) * mpmath.factorial(b)))
+
+
+def _amp_amplitude(kappa, x, y, a, b):
+    """<x, y|S|a, b> of the amplifier, from the SU(1,1) disentangling
+    S = exp(t a^dag b^dag) cosh(r)^-(n_A + n_B + 1) exp(-t a b), t = tanh r."""
+    t, f = mpmath.sqrt(1 - 1 / kappa), mpmath.factorial
+    total = mpmath.fsum((-t) ** i * t ** (x - a + i) * mpmath.sqrt(kappa) ** (2 * i - a - b - 1)
+                        / (f(i) * f(x - a + i) * f(a - i) * f(b - i))
+                        for i in range(max(0, a - x), min(a, b) + 1))
+    return total * mpmath.sqrt(f(a) * f(b) * f(x) * f(y))
+
+
+@pytest.mark.parametrize("params", [MixingParams.beam_splitter(0.1),
+                                    MixingParams.beam_splitter(0.5),
+                                    MixingParams.beam_splitter(0.9),
+                                    MixingParams.amplifier(1.1),
+                                    MixingParams.amplifier(2.0),
+                                    MixingParams.amplifier(16.0)])
+def test_amplitudes_match_40_digit_closed_forms(params):
+    dim = 60
+    _cold()
+    w = fock._sectors(params, dim).dense(2 * dim - 2)
+    rng = np.random.default_rng(60)
+    # the box's corners, then random entries
+    picks = [(b, x, a) for b in (0, dim - 1) for x in (0, dim - 1) for a in (0, dim - 1)]
+    picks += [tuple(int(v) for v in rng.integers(0, dim, 3)) for _ in range(300)]
+    amplitude = _amp_amplitude if params.reversed_b else _bs_amplitude
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(params.lambda_A)
+        for b, x, a in picks:
+            y = x - a + b if params.reversed_b else a + b - x
+            want = amplitude(lam, x, y, a, b) if 0 <= y < dim else 0
+            assert abs(w[b, x, a] - float(want)) < 1e-13, (b, x, a)
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+def test_fock_input_beam_splitter_is_binomial(lam):
+    dim = 30
+    vac = fock.vacuum_state(dim)
+    for n in (0, 1, 5, dim - 1):
+        out = fock.two_mode_mix(fock.fock_state(n, dim), vac, MixingParams.beam_splitter(lam))
+        m = np.arange(n + 1)
+        want = np.array([math.comb(n, k) for k in m]) * lam ** m * (1.0 - lam) ** (n - m)
+        assert fock._is_diagonal(out.rho)
+        assert np.max(np.abs(np.diagonal(out.rho).real[:n + 1] - want)) < 1e-13
+        assert not np.diagonal(out.rho)[n + 1:].any()
+
+
+@pytest.mark.parametrize("kappa", [1.1, 2.0, 16.0])
+def test_fock_input_amplifier_matches_closed_form(kappa, monkeypatch):
+    # <m|Phi(|n><n|)|m> = C(m, n) kappa^-(n+1) (1 - 1/kappa)^(m-n); the gate
+    # refuses exactly the mass above the cutoff
+    dim = 60
+    vac = fock.vacuum_state(dim)
+    m = np.arange(dim)
+    for n in (0, 1, 3):
+        want = np.array([math.comb(k, n) for k in m]) * kappa ** -(n + 1.0) \
+            * (1.0 - 1.0 / kappa) ** np.maximum(m - n, 0)
+        rho = fock.fock_state(n, dim)
+        if 1.0 - want.sum() > fock.LEAK_TOL:
+            with pytest.raises(fock.CutoffError) as err:
+                fock.two_mode_mix(rho, vac, MixingParams.amplifier(kappa))
+            assert err.value.leak == pytest.approx(1.0 - want.sum(), rel=0.0, abs=1e-13)
+        with monkeypatch.context() as patch:
+            patch.setattr(fock, "LEAK_TOL", 1.0)
+            out = fock.two_mode_mix(rho, vac, MixingParams.amplifier(kappa))
+        assert np.max(np.abs(np.diagonal(out.rho).real - want / want.sum())) < 1e-13
+    # kappa = 16 leaks past cutoff 60, so its gate is checked too
+    assert kappa < 16.0 or 1.0 - want.sum() > fock.LEAK_TOL
+
+
+@pytest.mark.parametrize("params", [MixingParams.beam_splitter(0.5),
+                                    MixingParams.amplifier(2.0)])
+def test_cold_mix_calls_no_expm(params, monkeypatch):
+    dim = 20
+    states = [fock.thermal_state(0.3, dim), fock.coherent_state(0.5, dim),
+              fock.squeezed_thermal_state(0.2, 0.1, dim), fock.fock_state(1, dim)]
+    _cold()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm called by a mix")
+    monkeypatch.setattr(sla, "expm", refuse)
+    monkeypatch.setattr(fock, "LEAK_TOL", 1.0)
+    thermal, coherent, squeezed, one = states
+    # both diagonal, one diagonal, neither
+    for a, b in ((thermal, one), (coherent, one), (coherent, squeezed)):
+        fock.two_mode_mix(a, b, params)
+
+
+@pytest.mark.parametrize("kappa", [2.0, 1.1])
+def test_amplifier_reads_the_beam_splitter_sectors(kappa):
+    # qepi oracle's pair: amplifier(kappa) after beam_splitter(1 / kappa)
+    # at the same cutoff builds no sector
+    dim = 30
+    _cold()
+    vac = fock.vacuum_state(dim)
+    fock.two_mode_mix(fock.thermal_state(1.0, dim), vac, MixingParams.beam_splitter(1.0 / kappa))
+    amps = fock._amplitudes(1.0 / kappa, dim)
+    built = list(amps.blocks)
+    fock.two_mode_mix(vac, vac, MixingParams.amplifier(kappa))
+    assert fock._sectors(MixingParams.amplifier(kappa), dim).amps is amps
+    assert len(amps.blocks) == len(built) == dim
+    assert all(new is old for new, old in zip(amps.blocks, built))
+
+
+def test_density_matrices_compare_by_identity():
+    rho = fock.thermal_state(0.5, 30)
+    copy = fock.FockDensityMatrix(rho.rho)
+    assert rho == rho and rho != copy
+    assert len({rho, copy, rho}) == 2 and hash(rho) == hash(rho)
 
 
 def test_two_mode_mix_memory_is_cubic_in_cutoff():
@@ -471,10 +650,10 @@ def test_translated_state_keeps_every_check():
 
 
 def test_two_mode_mix_store_filled_by_other_pairs_gives_cold_bits(monkeypatch):
-    # W is allocated by the first mix with one diagonal input, from the
-    # blocks built before it, and then filled by each block as it is built;
-    # entries other pairs filled meet zero entries of the inputs, so a store
-    # whose W they filled gives the same bits as an empty one
+    # W is allocated by the first mix with one diagonal input and filled
+    # through the highest sector of U that a mix reaches; entries other
+    # pairs filled meet zero entries of the inputs, so a store whose W they
+    # filled gives the same bits as an empty one
     dim = 12
     rng = np.random.default_rng(11)
     full_a, full_b = _random_state(rng, dim), _random_state(rng, dim)
@@ -488,29 +667,33 @@ def test_two_mode_mix_store_filled_by_other_pairs_gives_cold_bits(monkeypatch):
     for params in (MixingParams.beam_splitter(0.3), MixingParams.amplifier(1.1)):
         cold = []
         for a, b in one_diagonal:
-            fock._sectors.cache_clear()
+            _cold()
             cold.append(fock.two_mode_mix(a, b, params).rho)
-        fock._sectors.cache_clear()
+            assert np.max(np.abs(cold[-1] - _exact_mix(a, b, params))) < 1e-12
+        _cold()
         fock.two_mode_mix(fock.fock_state(3, dim), diag, params)
         fock.two_mode_mix(full_a, full_b, params)
         store = fock._sectors(params, dim)
         assert store.w is None
         for a, b in reversed(one_diagonal):
             fock.two_mode_mix(a, b, params)
-        assert all(block is not None for block in store.blocks)
+        assert store.dual == all(u is not None for u in store.blocks)
+        assert store.filled == len(store.amps.blocks) == 2 * dim - 1
         for (a, b), want in zip(one_diagonal, cold):
             assert np.array_equal(fock.two_mode_mix(a, b, params).rho, want)
         # W holds every block, and the view the mix gets is read-only
-        w = store.dense(np.arange(2 * dim - 1))
+        w = store.dense(2 * dim - 2)
         assert not w.flags.writeable
-        for n_a, n_b, u in store.blocks:
-            assert np.array_equal(w[n_b, n_a[0]:n_a[-1] + 1, n_a], u.T)
+        n_a, n_b, _, edges = store.layout
+        for q in range(2 * dim - 1):
+            u, rows = store.block(q), slice(edges[q], edges[q + 1])
+            assert np.array_equal(w[n_b[rows], n_a[rows][0]:n_a[rows][-1] + 1, n_a[rows]], u.T)
 
 
 def test_both_diagonal_mix_allocates_no_dense_tensor():
     dim = 30
     params = MixingParams.beam_splitter(0.5)
-    fock._sectors.cache_clear()
+    _cold()
     fock.two_mode_mix(fock.thermal_state(1.0, dim), fock.vacuum_state(dim), params)
     assert fock._sectors(params, dim).w is None
     fock.two_mode_mix(fock.thermal_state(1.0, dim), fock.coherent_state(0.5, dim), params)
