@@ -20,7 +20,7 @@ import numpy as np
 
 from . import broadcast, fock
 from .channels import MixingParams
-from .files import atomic_write, csv_text
+from .files import _grid_csv, atomic_write
 from .inequalities import LAM_GRID, S_GRID, SUITE_R_MAX, TRAJECTORY_T_MAX, delta_surface, \
     delta_surface_max, moe_bound, moe_conjectured, random_qepi_suite, ratio_trajectory
 from .symplectic import DomainError, GaussianState, NumericError, ValidationError, g
@@ -51,38 +51,22 @@ def cmd_verify(args) -> int:
     return 0 if violations == 0 else 1
 
 
-def _surface_csv(surface):
-    """delta_surface.csv as its header and then one block of rows per S_bar.
-
-    One %-template of all lambda rows is filled once per block, so only one
-    block lives as a string at a time.
-    """
-    template = "".join(f"%s,{lam:.10g},%.12g\r\n" for lam in LAM_GRID.tolist())
-    fields = [None] * (2 * LAM_GRID.size)
-    yield csv_text([("S_bar", "lambda", "delta")])
-    for s, deltas in zip(S_GRID.tolist(), surface):
-        fields[0::2] = [f"{s:.10g}"] * LAM_GRID.size
-        fields[1::2] = deltas.tolist()
-        yield template % tuple(fields)
-
-
 def cmd_figures(args) -> int:
     # the region first: it checks --lambda and --n-bar before any file is written
     points = broadcast.capacity_region(args.transmissivity, args.n_bar)
     os.makedirs(args.out, exist_ok=True)
 
     surface = delta_surface()
-    atomic_write(os.path.join(args.out, "delta_surface.csv"), _surface_csv(surface))
+    atomic_write(os.path.join(args.out, "delta_surface.csv"),
+                 _grid_csv(("S_bar", "lambda", "delta"), S_GRID, LAM_GRID, "%.12g", surface))
 
-    rows = [("S_bar", "lambda", "gaussian_ansatz", "qepi_bound")]
     s_bars = np.array([[0.5], [1.0], [1.5]])
-    lam_text = [f"{lam:.10g}" for lam in LAM_GRID.tolist()]
-    for s_bar, ansatz, bound in zip(s_bars[:, 0].tolist(),
-                                    moe_conjectured(s_bars, LAM_GRID).tolist(),
-                                    moe_bound(s_bars, LAM_GRID).tolist()):
-        rows += [(f"{s_bar:.10g}", lam, f"{a:.12g}", f"{b:.12g}")
-                 for lam, a, b in zip(lam_text, ansatz, bound)]
-    atomic_write(os.path.join(args.out, "moe_bounds.csv"), (csv_text(rows),))
+    # per S_bar, the ansatz and the bound of each lambda in turn
+    bounds = np.stack([moe_conjectured(s_bars, LAM_GRID), moe_bound(s_bars, LAM_GRID)],
+                      axis=-1).reshape(s_bars.size, -1)
+    atomic_write(os.path.join(args.out, "moe_bounds.csv"),
+                 _grid_csv(("S_bar", "lambda", "gaussian_ansatz", "qepi_bound"),
+                          s_bars[:, 0], LAM_GRID, "%.12g,%.12g", bounds))
 
     broadcast.write_region_csv(os.path.join(args.out, "region.csv"), points)
 

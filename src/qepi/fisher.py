@@ -54,8 +54,9 @@ def fisher_total_gaussian(state: GaussianState):
     Forward differences in the noise time at steps h, h/2 and h/4, with
     h = GAUSSIAN_STEP, and two Richardson levels; the entropy of gamma + t*I
     is smooth in t even at degenerate symplectic eigenvalues.  The state's
-    one spectrum gives both the purity check and S(0); the three noisy
-    copies take one stacked entropy call.  A float for one state, an array
+    one spectrum (the one it carries, for the suite's Stam states) gives
+    both the purity check and S(0); the three noisy copies take one
+    stacked entropy call.  A float for one state, an array
     over the leading axes for a stack; DivergenceError is raised if any
     state is near-pure.
     """

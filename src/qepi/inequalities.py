@@ -18,8 +18,8 @@ from . import symplectic
 from .channels import BEAM_SPLITTER, MixingParams, add_noise, mix
 from .fisher import DivergenceError, fisher_total_gaussian, spectrum_full_rank
 from .symplectic import (LOG_FLOAT_MAX, DomainError, GaussianState, NumericError,
-                         _g, _g_inv, entropy, g, g_inv, random_gaussian_state, require,
-                         spectrum_entropy)
+                         _g, _g_inv, _with_spectrum, entropy, g, g_inv,
+                         random_gaussian_state, require, spectrum_entropy)
 
 GAUSSIAN_SLACK_TOL = 1e-9
 EPNI_FLOOR = 1.0 / math.e - 0.5
@@ -235,11 +235,26 @@ S_GRID = np.logspace(np.log10(0.01), np.log10(6.0), 200)
 S_GRID[[0, -1]] = 0.01, 6.0
 LAM_GRID = np.linspace(0.0, 1.0, 201)
 S_GRID.flags.writeable = LAM_GRID.flags.writeable = False
+# S_GRID rows per block of delta_surface: each temporary of a block is
+# 25 x 201 floats (40 KB), where the whole grid's are 0.31 MiB each
+_SURFACE_BLOCK_ROWS = 25
 
 
 def delta_surface():
-    """moe_delta on the grid: surface[i, j] at S_bar = S_GRID[i], lam = LAM_GRID[j]."""
-    return moe_delta(S_GRID[:, None], LAM_GRID[None, :])
+    """moe_delta on the grid: surface[i, j] at S_bar = S_GRID[i], lam = LAM_GRID[j].
+
+    g_inv(S_GRID) and e^{S_GRID} are taken once; the surface is then filled
+    a block of _SURFACE_BLOCK_ROWS rows at a time by moe_delta's elementwise
+    operations, in its order, so every entry has its bits (every S_bar is at
+    most LOG_FLOAT_MAX, where _log_mix takes the direct form).
+    """
+    surface = np.empty((S_GRID.size, LAM_GRID.size))
+    n_s, e_s = _g_inv(S_GRID)[:, None], np.exp(S_GRID)[:, None]
+    for start in range(0, S_GRID.size, _SURFACE_BLOCK_ROWS):
+        rows = slice(start, start + _SURFACE_BLOCK_ROWS)
+        surface[rows] = (_g(LAM_GRID * n_s[rows])
+                         - np.log(LAM_GRID * e_s[rows] + 1.0 - LAM_GRID))
+    return surface
 
 
 # points per zoom step: each step shrinks the interval by about ZOOM_POINTS / 2
@@ -538,8 +553,10 @@ def random_qepi_suite(trials: int, seed: int, p: MixingParams,
             rows = np.flatnonzero(np.all(spectrum_full_rank(nus), axis=1))
             stam_checked += rows.size
             if rows.size:
-                j_a, j_b, j_c = fisher_total_gaussian(GaussianState(
-                    1, abc.gamma[rows], validate=False)).T
+                # the Stam states carry their rows of the chunk's spectrum, so
+                # the Fisher route's purity check and S(0) decompose nothing
+                j_a, j_b, j_c = fisher_total_gaussian(
+                    _with_spectrum(1, abc.gamma[rows], nus[rows])).T
                 rep_s = stam_check(j_a, j_b, j_c, p)
                 checks.append((rep_s, idx[rows]))
                 mins["stam"].update(rep_s.slack, idx[rows])

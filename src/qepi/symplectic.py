@@ -115,6 +115,15 @@ class GaussianState:
         return cls(n, (2.0 * mean_photons + 1.0) * np.eye(2 * n), validate=False)
 
 
+def _with_spectrum(n: int, gamma, nus: np.ndarray) -> GaussianState:
+    """Unvalidated states of covariance matrices gamma that carry nus, their
+    symplectic spectra, as already taken: symplectic_eigenvalues returns nus
+    for them and decomposes nothing."""
+    state = GaussianState(n, gamma, validate=False)
+    object.__setattr__(state, "_spectrum", nus)
+    return state
+
+
 def _require_finite(gamma: np.ndarray) -> None:
     """Reject a non-finite covariance matrix before any arithmetic on it."""
     if not np.all(np.isfinite(gamma)):
@@ -136,7 +145,11 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
     For n = 1, L^T (Omega L) = [[0, l00 l11], [-l00 l11, 0]] exactly, and
     eigvalsh returns +-l00 l11 for it without rounding, so nu is the
     product of the factor's diagonal, bit-identical and with no eigensolve.
+    A state built by _with_spectrum returns the spectra it carries.
     """
+    carried = getattr(state, "_spectrum", None)
+    if carried is not None:
+        return carried
     _require_finite(state.gamma)
     try:
         chol = np.linalg.cholesky(state.gamma)

@@ -1,4 +1,5 @@
 import os
+import stat
 
 import pytest
 
@@ -41,3 +42,30 @@ def test_failed_piece_leaves_no_temporary_and_the_old_bytes(tmp_path, existing,
     assert os.listdir(tmp_path) == (["out.csv"] if existing else [])
     if existing:
         assert target.read_bytes() == b"old,bytes\r\n"
+
+
+def _with_umask(mask, fn):
+    old = os.umask(mask)
+    try:
+        return fn()
+    finally:
+        os.umask(old)
+
+
+def test_new_file_gets_the_mode_of_open_under_the_umask(tmp_path):
+    target, opened = tmp_path / "new.csv", tmp_path / "opened.csv"
+    _with_umask(0o022, lambda: atomic_write(target, ["a\r\n"]))
+    _with_umask(0o022, lambda: opened.write_text("a\r\n"))
+    assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(opened.stat().st_mode) == 0o644
+    _with_umask(0o077, lambda: atomic_write(tmp_path / "private.csv", ["a\r\n"]))
+    assert stat.S_IMODE((tmp_path / "private.csv").stat().st_mode) == 0o600
+    assert sorted(os.listdir(tmp_path)) == ["new.csv", "opened.csv", "private.csv"]
+
+
+def test_replaced_file_keeps_its_mode(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old,bytes\r\n")
+    target.chmod(0o640)
+    _with_umask(0o022, lambda: atomic_write(target, ["new,bytes\r\n"]))
+    assert target.read_bytes() == b"new,bytes\r\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -169,6 +170,23 @@ def test_delta_surface_shape_and_sign():
         assert not grid.flags.writeable
         assert np.all(np.diff(grid) > 0.0)
         assert grid.dtype == want.dtype and grid.tobytes() == want.tobytes()
+
+
+def test_delta_surface_is_moe_delta_on_the_grid_bit_for_bit():
+    assert np.array_equal(delta_surface(), moe_delta(S_GRID[:, None], LAM_GRID[None, :]))
+
+
+def test_delta_surface_peak_memory():
+    # filled in row blocks: its temporaries stay far below the 0.31 MiB
+    # result, where the whole grid's peaked at 1.57 MiB
+    delta_surface()
+    tracemalloc.start()
+    try:
+        surface = delta_surface()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= surface.nbytes + 0.25 * 2**20
 
 
 def test_delta_surface_matches_pointwise_moe_delta():
@@ -477,6 +495,38 @@ def test_suite_stam_large_nu_no_false_violation():
     summary = random_qepi_suite(2000, 0, MixingParams.amplifier(2.0), nu_max=1e5,
                                 with_stam=True)
     assert summary.failures == []
+
+
+def test_suite_stam_states_are_not_decomposed_again(monkeypatch):
+    # the Stam states carry their rows of the chunk's spectrum: per chunk one
+    # Cholesky factor of the A/B/C stack and one of the three noisy copies
+    shapes = []
+    original = np.linalg.cholesky
+
+    def counting(a):
+        shapes.append(a.shape)
+        return original(a)
+
+    whole = random_qepi_suite(20, 4, MixingParams.amplifier(2.0), with_stam=True)
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    monkeypatch.setattr(inequalities, "SUITE_CHUNK", 7)
+    summary = random_qepi_suite(20, 4, MixingParams.amplifier(2.0), with_stam=True)
+    assert summary.to_dict() == whole.to_dict()
+    assert shapes[0::2] == [(7, 3, 2, 2), (7, 3, 2, 2), (6, 3, 2, 2)]
+    rows = [shape[1] for shape in shapes[1::2]]
+    assert sum(rows) == 20 - summary.stam_skipped
+    assert shapes[1::2] == [(3, r, 3, 2, 2) for r in rows]
+
+
+def test_carried_spectrum_gives_the_fisher_bits_of_a_decomposed_state():
+    stack = GaussianState(1, np.stack([random_gaussian_state(
+        1, np.random.default_rng(k)).gamma for k in range(40)]), validate=False)
+    rows = np.flatnonzero(spectrum_full_rank(symplectic_eigenvalues(stack)))[::2]
+    plain = GaussianState(1, stack.gamma[rows], validate=False)
+    carried = symplectic._with_spectrum(1, stack.gamma[rows],
+                                        symplectic_eigenvalues(stack)[rows])
+    assert symplectic_eigenvalues(carried) is carried._spectrum
+    assert np.array_equal(fisher_total_gaussian(carried), fisher_total_gaussian(plain))
 
 
 def test_suite_stam_propagates_unexpected_errors(monkeypatch):
