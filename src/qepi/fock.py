@@ -5,7 +5,11 @@ here by brute force on one mode with a finite Fock cutoff, and non-Gaussian
 inputs (Fock states) become available.  The channel kernels use the
 photon-number structure that survives truncation: the mixing unitaries
 conserve n_A + n_B (beam splitter) or n_A - n_B (amplifier), and the
-additive-noise generator maps each diagonal band of rho to itself.
+additive-noise generator maps each diagonal band of rho to itself.  A
+state records once, when it is built, whether rho is Fock-diagonal (its
+`diagonal` field); such a state is its population vector, which the
+constructors, the mixes and the noise evolution hand over and check in
+O(dim) rather than as a dense matrix.
 
 scipy is imported inside the functions that use it, so importing this
 module (and with it qepi and qepi.cli) loads no scipy: the Gaussian
@@ -55,7 +59,12 @@ class FockDensityMatrix:
 
     Building one checks rho finite, Hermitian and of unit trace (and keeps
     its Hermitian part) and its least eigenvalue against EIGENVALUE_FLOOR;
-    the eigenvalues, ascending, are kept as `spectrum` (see _spectrum).
+    the eigenvalues, ascending, are kept as `spectrum`.  `diagonal` records
+    whether rho has no nonzero entry off the diagonal.  Such a rho is
+    checked through its diagonal alone (see _hermitian_part), and its
+    spectrum is that diagonal, sorted: eigvalsh's reduction to tridiagonal
+    form leaves a diagonal matrix as it is and its tridiagonal solver
+    splits it into 1 x 1 blocks, so it would return the same bits.
     Since rho cannot change, its eigh is kept the first time it is asked
     for, as `eigensystem`.  A unitary image u rho u^dag inherits both from
     rho instead (see _unitary_image).
@@ -64,16 +73,19 @@ class FockDensityMatrix:
     dim: int                # Fock dimension, read from the shape of rho
     rho: np.ndarray         # dim x dim complex Hermitian
     spectrum: np.ndarray    # the eigenvalues of rho, ascending, read-only
+    diagonal: bool          # no nonzero entry of rho off the diagonal
 
     def __init__(self, rho):
         rho = np.array(rho, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.size == 0:
             raise DomainError(f"expected a non-empty square matrix, got shape {rho.shape}")
-        rho = _hermitian_part(rho)
-        evs = _spectrum(rho)
-        if evs[0] < EIGENVALUE_FLOOR:
-            raise NumericError(f"negative eigenvalue {evs[0]:.3e}")
-        _set_state(self, rho, evs)
+        if not _is_diagonal(rho):
+            rho = _hermitian_part(rho)
+            # off-diagonal entries within HERMITICITY_TOL can cancel in it
+            if not _is_diagonal(rho):
+                _set_state(self, rho, _above_floor(np.linalg.eigvalsh(rho)), False)
+                return
+        _set_populations(self, np.diagonal(rho))
 
     @functools.cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -87,7 +99,9 @@ def _hermitian_part(rho: np.ndarray) -> np.ndarray:
     """(rho + rho^dag) / 2, once rho is checked finite, Hermitian and of unit trace.
 
     Finiteness comes first: NaN fails no comparison, and an infinite entry
-    would turn the Hermiticity residual into NaN.
+    would turn the Hermiticity residual into NaN.  rho may also be the
+    diagonal of a Fock-diagonal matrix: the same operations on it give the
+    same refusals, messages and bits as on the matrix, in O(dim).
     """
     if not np.isfinite(rho).all():
         raise NumericError("density matrix has non-finite entries")
@@ -95,18 +109,43 @@ def _hermitian_part(rho: np.ndarray) -> np.ndarray:
     if herm > HERMITICITY_TOL:
         raise NumericError(f"non-Hermitian density matrix: {herm:.3e}")
     rho = 0.5 * (rho + rho.conj().T)
-    tr = float(np.trace(rho).real)
+    tr = float((np.trace(rho) if rho.ndim == 2 else rho.sum()).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise NumericError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
     return rho
 
 
-def _set_state(state: FockDensityMatrix, rho: np.ndarray, spectrum: np.ndarray) -> None:
+def _above_floor(evs: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues evs, read-only, once the least is checked
+    against EIGENVALUE_FLOOR."""
+    if evs[0] < EIGENVALUE_FLOOR:
+        raise NumericError(f"negative eigenvalue {evs[0]:.3e}")
+    evs.flags.writeable = False
+    return evs
+
+
+def _set_state(state: FockDensityMatrix, rho: np.ndarray, spectrum: np.ndarray,
+               diagonal: bool) -> None:
     """Make state the density matrix rho, now read-only, of the read-only spectrum."""
     rho.flags.writeable = False
     object.__setattr__(state, "dim", rho.shape[0])
     object.__setattr__(state, "rho", rho)
     object.__setattr__(state, "spectrum", spectrum)
+    object.__setattr__(state, "diagonal", diagonal)
+
+
+def _set_populations(state: FockDensityMatrix, pop: np.ndarray) -> None:
+    """Make state diag(pop), checked through its diagonal, in O(dim) (see _hermitian_part)."""
+    pop = _hermitian_part(np.asarray(pop, dtype=complex))
+    _set_state(state, np.diag(pop), _above_floor(np.sort(pop.real)), True)
+
+
+def _from_populations(pop: np.ndarray) -> FockDensityMatrix:
+    """The Fock-diagonal state diag(pop), with the checks, refusals and bits
+    of FockDensityMatrix(np.diag(pop))."""
+    state = object.__new__(FockDensityMatrix)
+    _set_populations(state, pop)
+    return state
 
 
 def _unitary_image(rho: FockDensityMatrix, u: np.ndarray) -> FockDensityMatrix:
@@ -119,7 +158,8 @@ def _unitary_image(rho: FockDensityMatrix, u: np.ndarray) -> FockDensityMatrix:
     Its entries are checked as the constructor checks them.
     """
     image = object.__new__(FockDensityMatrix)
-    _set_state(image, _hermitian_part(u @ rho.rho @ u.conj().T), rho.spectrum)
+    out = _hermitian_part(u @ rho.rho @ u.conj().T)
+    _set_state(image, out, rho.spectrum, _is_diagonal(out))
     w, v = rho.eigensystem
     x = u @ v
     x.flags.writeable = False
@@ -130,22 +170,6 @@ def _unitary_image(rho: FockDensityMatrix, u: np.ndarray) -> FockDensityMatrix:
 def _is_diagonal(rho: np.ndarray) -> bool:
     """No nonzero entry off the diagonal."""
     return np.count_nonzero(rho) == np.count_nonzero(np.diagonal(rho))
-
-
-def _spectrum(rho: np.ndarray) -> np.ndarray:
-    """The eigenvalues of Hermitian rho, ascending and read-only.
-
-    With no nonzero entry off the diagonal they are its real diagonal,
-    sorted: eigvalsh's reduction to tridiagonal form leaves such a matrix as
-    it is and its tridiagonal solver splits it into 1 x 1 blocks, so it
-    returns the same bits.  Otherwise eigvalsh.
-    """
-    if _is_diagonal(rho):
-        evs = np.sort(np.diagonal(rho).real)
-    else:
-        evs = np.linalg.eigvalsh(rho)
-    evs.flags.writeable = False
-    return evs
 
 
 def ladder(dim: int) -> np.ndarray:
@@ -181,9 +205,9 @@ def fock_state(k: int, dim: int) -> FockDensityMatrix:
     k = _require_integer("Fock level", k, 0)
     if k >= dim:
         raise CutoffError(f"Fock level {k} does not fit below cutoff {dim}")
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[k, k] = 1.0
-    return FockDensityMatrix(rho)
+    pop = np.zeros(dim)
+    pop[k] = 1.0
+    return _from_populations(pop)
 
 
 def thermal_state(mean_photons: float, dim: int) -> FockDensityMatrix:
@@ -195,7 +219,7 @@ def thermal_state(mean_photons: float, dim: int) -> FockDensityMatrix:
     logp = n * math.log(mean_photons) - (n + 1) * math.log(mean_photons + 1.0)
     probs = np.exp(logp)
     _gate(1.0 - probs.sum(), f"thermal({mean_photons}) tail", dim)
-    return FockDensityMatrix(np.diag(probs.astype(complex)))
+    return _from_populations(probs)
 
 
 def coherent_state(alpha: complex, dim: int) -> FockDensityMatrix:
@@ -374,18 +398,18 @@ def _pure_components(rho: FockDensityMatrix) -> np.ndarray:
     return v[:, keep] * np.sqrt(w[keep])
 
 
-def _populations(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Populations, support and whether rho is exactly Fock-diagonal.
+def _populations(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Populations and support.
 
     The populations of a diagonal state are its eigenvalues, so they get the
     floor of _pure_components; the support of any other state is the set of
     its nonzero rows.
     """
     pop = np.diagonal(rho.rho).real
-    if _is_diagonal(rho.rho):
+    if rho.diagonal:
         pop = np.where(pop > _eigen_floor(pop, rho.dim), pop, 0.0)
-        return pop, pop > 0.0, True
-    return pop, np.any(rho.rho != 0.0, axis=1), False
+        return pop, pop > 0.0
+    return pop, np.any(rho.rho != 0.0, axis=1)
 
 
 def _mix_components(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
@@ -440,8 +464,9 @@ def _mix_diagonal(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
     """The output when an input is Fock-diagonal, O(dim^3 n), n the span of its support.
 
     W[b, x, a] = <x, y|U|a, b>, y fixed by the charge; p and r are the
-    populations of rho_A and rho_B.  Both diagonal: rho_C[x, x] = sum_{a, b}
-    W[b, x, a]^2 p_a r_b, over U's sectors.  One diagonal: rho_C = sum_s H_s
+    populations of rho_A and rho_B.  Both diagonal: the output's
+    populations rho_C[x, x] = sum_{a, b} W[b, x, a]^2 p_a r_b, over U's
+    sectors, as a vector.  One diagonal: rho_C = sum_s H_s
     * sigma[x + s, x' + s] over s = 1 - dim .. dim - 1.  rho_B diagonal gives
     sigma = rho_A, H_s[x, x'] = sum_b r_b W[b, x, x + s] W[b, x', x' + s];
     rho_A diagonal gives sigma = rho_B relabelled in both indices, H_s[x, x']
@@ -451,12 +476,12 @@ def _mix_diagonal(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
     from whichever reads it, at t = x + s (mod dim) (see _shift_sum).
     """
     dim = rho_a.dim
-    pop_a, supp_a, diag_a = _populations(rho_a)
-    pop_b, supp_b, diag_b = _populations(rho_b)
+    pop_a, supp_a = _populations(rho_a)
+    pop_b, supp_b = _populations(rho_b)
     # the highest sector of U a pair in the supports reaches: a + b, or x + b = a + y
     top_a, top_b = np.flatnonzero(supp_a)[-1], np.flatnonzero(supp_b)[-1]
     top = dim - 1 + min(top_a, top_b) if sectors.dual else top_a + top_b
-    if diag_a and diag_b:
+    if rho_a.diagonal and rho_b.diagonal:
         amps, out = sectors.amps, np.zeros(dim)
         for k, u in enumerate(amps.upto(top)[:top + 1]):
             x, y = amps.levels(k)
@@ -464,16 +489,16 @@ def _mix_diagonal(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
                 out[x] += pop_b[y] * ((u * u) @ pop_a[x])
             else:
                 out[x] += (u * u) @ (pop_a[x] * pop_b[y])
-        return np.diag(sectors.scale ** 2 * out).astype(complex)
+        return sectors.scale ** 2 * out
     w = sectors.dense(top)
     label = sectors.label_b
     x = np.arange(dim)
     t = (x + x[:, None]) % dim                      # t[s, x] = x + s (mod dim)
     # g[s, x, k] over the levels k from the first to the last in the
     # diagonal input's support (a view of W), sqrt(0) = 0 in between
-    supp = np.flatnonzero(supp_b if diag_b else supp_a)
+    supp = np.flatnonzero(supp_b if rho_b.diagonal else supp_a)
     span = slice(supp[0], supp[-1] + 1)
-    if diag_b:      # g[s, x, b] = sqrt(r_b) W[b, x, t]
+    if rho_b.diagonal:      # g[s, x, b] = sqrt(r_b) W[b, x, t]
         sigma = rho_a.rho
         g = w.reshape(dim, dim * dim)[span].take(x * dim + t, axis=1)
         g *= np.sqrt(pop_b[span])[:, None, None]
@@ -494,19 +519,21 @@ def two_mode_mix(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix,
     in O(dim^3) memory (see _mix_diagonal and _mix_components).  The trace
     deficit 1 - tr rho_C is exactly the output mass above the cutoff, plus
     the inputs' weights at or below dim * eps * max, which are dropped; the
-    cutoff gate refuses it above LEAK_TOL.
+    cutoff gate refuses it above LEAK_TOL.  The output of two diagonal
+    inputs comes as its populations, and is gated, normalised and checked
+    as a vector.
     """
     if rho_a.dim != rho_b.dim:
         raise DomainError("two_mode_mix needs two states of equal cutoff")
     dim = rho_a.dim
     if p.lambda_A == 0.0:        # a beam splitter; an amplifier has lambda_A >= 1
         return rho_b
-    diagonal = _is_diagonal(rho_a.rho) or _is_diagonal(rho_b.rho)
+    diagonal = rho_a.diagonal or rho_b.diagonal
     out = (_mix_diagonal if diagonal else _mix_components)(rho_a, rho_b, _sectors(p, dim))
-    tr = np.trace(out).real
+    tr = out.sum() if out.ndim == 1 else np.trace(out).real
     _gate(abs(1.0 - tr), "mixing leak", dim)
     out /= tr
-    return FockDensityMatrix(out)
+    return _from_populations(out) if out.ndim == 1 else FockDensityMatrix(out)
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +588,11 @@ def liouville_evolve(rho: FockDensityMatrix, t: float) -> FockDensityMatrix:
     + sqrt((m+1)(n+1)) rho_{m+1,n+1}) with c = diag(a a^dag + a^dag a), i.e.
     2m + 1 except dim - 1 at the top level of the truncated space.  So each
     band n - m = +-k evolves on its own under a symmetric tridiagonal
-    matrix, exponentiated here through its eigendecomposition.  A band
-    that is exactly zero stays zero: only the bands that one np.nonzero of
-    rho finds occupied are evolved, so a Fock-diagonal input costs one
-    eigensolve.
+    matrix v diag(w) v^T, and the band r becomes v (e^{tw} * (v^T r)): two
+    matrix-vector products after one tridiagonal eigensolve, and no dense
+    propagator.  A band that is exactly zero stays zero: only the bands
+    that one np.nonzero of rho finds occupied are evolved, and a
+    Fock-diagonal input is its population vector, one band.
     """
     require("evolution time", t, 0.0)
     if t == 0:
@@ -574,15 +602,22 @@ def liouville_evolve(rho: FockDensityMatrix, t: float) -> FockDensityMatrix:
     m = np.arange(dim)
     c = 2.0 * m + 1.0
     c[-1] = dim - 1
+
+    def evolve(k: int, *bands: np.ndarray) -> list[np.ndarray]:
+        """Bands at distance k from the diagonal, each its dim - k entries, after time t."""
+        j = m[:dim - k]
+        w, v = sla.eigh_tridiagonal(-(c[j] + c[j + k]) / 4.0,
+                                    0.5 * np.sqrt(j[1:] * (j[1:] + k)))
+        growth = np.exp(t * w)
+        return [v @ (growth * (v.T @ r)) for r in bands]
+
+    if rho.diagonal:
+        return _from_populations(*evolve(0, np.diagonal(rho.rho).real))
     out = np.zeros_like(rho.rho)
     rows, cols = np.nonzero(rho.rho)
     for k in np.unique(np.abs(cols - rows)).tolist():
-        j = m[:dim - k]                       # band entries (j, j + k)
-        w, v = sla.eigh_tridiagonal(-(c[j] + c[j + k]) / 4.0,
-                                    0.5 * np.sqrt(j[1:] * (j[1:] + k)))
-        prop = (v * np.exp(t * w)) @ v.T
-        out[j, j + k] = prop @ rho.rho[j, j + k]
-        out[j + k, j] = prop @ rho.rho[j + k, j]
+        j = m[:dim - k]
+        out[j, j + k], out[j + k, j] = evolve(k, rho.rho[j, j + k], rho.rho[j + k, j])
     return FockDensityMatrix(out)
 
 

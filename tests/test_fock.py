@@ -799,3 +799,115 @@ def test_coherent_state_amplitudes_match_gammaln():
                   + 1j * n * np.angle(alpha))
     got = fock.coherent_state(alpha, dim).rho
     assert np.max(np.abs(got - np.outer(amps, amps.conj()))) < 1e-15
+
+
+def _populations_cases():
+    rng = np.random.default_rng(28)
+    thermal = 0.5 ** np.arange(1.0, 31.0)
+    return [_tricky_diagonal(rng, 30), _tricky_diagonal(rng, 1), thermal / thermal.sum(),
+            np.array([0.25, 0.75]) + 1j * np.array([3e-13, -2e-13])]
+
+
+@pytest.mark.parametrize("pop", _populations_cases(),
+                         ids=["tricky", "one level", "thermal", "imaginary within tolerance"])
+def test_state_from_populations_is_the_diagonal_matrix_bit_for_bit(pop):
+    state = fock._from_populations(pop)
+    dense = fock.FockDensityMatrix(np.diag(pop))
+    # the checks on the matrix itself, entry by entry
+    want = fock._hermitian_part(np.diag(pop).astype(complex))
+    for got in (state, dense):
+        assert got.diagonal and got.dim == pop.size
+        assert got.rho.dtype == want.dtype and got.rho.tobytes() == want.tobytes()
+        assert got.spectrum.tobytes() == np.linalg.eigvalsh(want).tobytes()
+        assert not got.rho.flags.writeable and not got.spectrum.flags.writeable
+
+
+def _refused(make):
+    with pytest.raises(fock.NumericError) as refusal:
+        make()
+    return str(refusal.value)
+
+
+@pytest.mark.parametrize("pop, what", [
+    (np.array([np.nan, 1.0]), "non-finite"),
+    (np.array([np.inf, 0.0]), "non-finite"),
+    (np.array([0.5, 0.5 + 2e-8]), "trace"),
+    (np.array([1.0 + 2e-10, -2e-10]), "negative eigenvalue"),
+    (np.array([0.5 + 1e-11j, 0.5]), "non-Hermitian"),
+], ids=["nan", "inf", "trace", "below the floor", "imaginary"])
+def test_population_refusals_are_the_matrix_refusals(pop, what):
+    message = _refused(lambda: fock._from_populations(pop))
+    assert what in message
+    assert _refused(lambda: fock.FockDensityMatrix(np.diag(pop))) == message
+    matrix = np.diag(pop).astype(complex)
+    if what == "negative eigenvalue":
+        assert message == f"negative eigenvalue {np.linalg.eigvalsh(matrix)[0]:.3e}"
+    else:
+        assert _refused(lambda: fock._hermitian_part(matrix)) == message
+
+
+def _anti_hermitian_off_diagonal():
+    # off-diagonal entries within HERMITICITY_TOL whose Hermitian part is zero
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    rho[0, 1] = rho[1, 0] = 1e-14j
+    return fock.FockDensityMatrix(rho)
+
+
+def _made_states():
+    dim, half = 30, MixingParams.beam_splitter(0.5)
+    thermal, two = fock.thermal_state(1.0, dim), fock.fock_state(2, dim)
+    coherent = fock.coherent_state(0.8 + 0.3j, dim)
+    squeezed = fock.squeezed_thermal_state(0.3, 0.5, dim)
+    return {
+        "vacuum": lambda: fock.vacuum_state(dim),
+        "fock": lambda: two,
+        "thermal": lambda: thermal,
+        "coherent": lambda: coherent,
+        "coherent at 0": lambda: fock.coherent_state(0.0, dim),
+        "squeezed thermal": lambda: squeezed,
+        "dense diagonal": lambda: fock.FockDensityMatrix(thermal.rho),
+        "anti-Hermitian off the diagonal": _anti_hermitian_off_diagonal,
+        "both-diagonal mix": lambda: fock.two_mode_mix(thermal, two, half),
+        "both-diagonal amplifier mix": lambda: fock.two_mode_mix(
+            fock.vacuum_state(dim), fock.vacuum_state(dim), MixingParams.amplifier(2.0)),
+        "one-diagonal mix": lambda: fock.two_mode_mix(thermal, coherent, half),
+        "non-diagonal mix": lambda: fock.two_mode_mix(coherent, squeezed, half),
+        "unitary image": lambda: fock.displace_fock(thermal, "q", 0.3),
+        "evolved diagonal": lambda: fock.liouville_evolve(thermal, 0.4),
+        "evolved non-diagonal": lambda: fock.liouville_evolve(coherent, 0.4),
+    }
+
+
+@pytest.mark.parametrize("how", list(_made_states()))
+def test_diagonal_field_agrees_with_a_fresh_scan(how):
+    state = _made_states()[how]()
+    assert state.diagonal == fock._is_diagonal(state.rho)
+    assert state.diagonal == (how in ("vacuum", "fock", "thermal", "coherent at 0",
+                                      "dense diagonal", "anti-Hermitian off the diagonal",
+                                      "both-diagonal mix", "both-diagonal amplifier mix",
+                                      "evolved diagonal"))
+    with pytest.raises(AttributeError):
+        state.diagonal = not state.diagonal
+
+
+@functools.lru_cache(maxsize=4)
+def _dense_noise_propagator(dim, t):
+    return sla.expm(t * _dense_noise_superoperator(dim))
+
+
+def _truncated_thermal(dim):
+    pop = 0.5 ** np.arange(1.0, dim + 1.0)      # thermal(1), renormalised below the cutoff
+    return fock.FockDensityMatrix(np.diag(pop / pop.sum()))
+
+
+@pytest.mark.parametrize("make", [_truncated_thermal, functools.partial(fock.fock_state, 2),
+                                  functools.partial(fock.coherent_state, 0.8 + 0.3j)],
+                         ids=["thermal(1)", "|2>", "coherent"])
+@pytest.mark.parametrize("dim", [12, 30])
+@pytest.mark.parametrize("t", [0.3, 2.0])
+def test_liouville_evolve_matches_expm_of_the_truncated_liouvillian(make, dim, t):
+    state = make(dim)
+    want = (_dense_noise_propagator(dim, t) @ state.rho.reshape(-1)).reshape(dim, dim)
+    got = fock.liouville_evolve(state, t)
+    assert np.max(np.abs(got.rho - want)) < 1e-13
+    assert got.diagonal == state.diagonal

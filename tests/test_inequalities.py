@@ -592,8 +592,8 @@ def test_suite_chunking_leaves_summary_unchanged(params, monkeypatch):
 @pytest.mark.parametrize("with_stam", [False, True])
 def test_suite_takes_one_spectrum_of_each_chunk(with_stam, monkeypatch):
     # the A/B/C stack of a chunk is decomposed once by the suite; with Stam
-    # the Fisher route decomposes its full-rank rows once more, and their
-    # three noisy copies in one stacked call
+    # the Fisher route's call on its full-rank rows returns the spectrum they
+    # carry, and their three noisy copies are decomposed in one stacked call
     shapes = []
     original = symplectic.symplectic_eigenvalues
 
