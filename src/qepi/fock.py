@@ -9,11 +9,14 @@ additive-noise generator maps each diagonal band of rho to itself.  A
 state records once, when it is built, whether rho is Fock-diagonal (its
 `diagonal` field); such a state is its population vector, which the
 constructors, the mixes and the noise evolution hand over and check in
-O(dim) rather than as a dense matrix.
+O(dim) rather than as a dense matrix.  The squeezer is exponentiated
+through one Hermitian eigendecomposition of its generator, and no function
+here takes a dense matrix exponential.
 
-scipy is imported inside the functions that use it, so importing this
-module (and with it qepi and qepi.cli) loads no scipy: the Gaussian
-commands never pay its start-up.
+scipy is imported inside the functions that use it (the noise evolution
+and the mix of two non-diagonal inputs), so importing this module (and
+with it qepi and qepi.cli) and building any state loads no scipy: the
+Gaussian commands never pay its start-up.
 """
 
 from __future__ import annotations
@@ -235,15 +238,39 @@ def coherent_state(alpha: complex, dim: int) -> FockDensityMatrix:
     return FockDensityMatrix(np.outer(amps, amps.conj()))
 
 
+def _squeezer(r: float, dim: int) -> np.ndarray:
+    """S = e^G, G = r (a^2 - a^dag^2) / 2 truncated to dim levels: real and orthogonal.
+
+    G is real and antisymmetric, so iG is Hermitian: one eigh, iG = V w V^dag,
+    gives S = V e^{-iw} V^dag, whose imaginary part is rounding.  G couples
+    only levels of equal parity, so iG is decomposed with the even levels
+    first; its two blocks stay apart in the eigensolve and S is exactly
+    zero between levels of opposite parity.
+    """
+    n = np.arange(dim - 2)
+    gen = np.zeros((dim, dim))
+    gen[n, n + 2] = 0.5 * r * np.sqrt((n + 1.0) * (n + 2.0))
+    gen -= gen.T
+    even_first = np.r_[0:dim:2, 1:dim:2]
+    blocks = np.ix_(even_first, even_first)
+    w, v = np.linalg.eigh(1j * gen[blocks])
+    s = np.empty((dim, dim))
+    s[blocks] = ((v * np.exp(-1j * w)) @ v.conj().T).real
+    return s
+
+
 def squeezed_thermal_state(r: float, mean_photons: float, dim: int) -> FockDensityMatrix:
-    """Single-mode squeezer applied to a thermal state."""
+    """Single-mode squeezer applied to a thermal state, S rho_th S^T (see _squeezer).
+
+    S is the exponential of the truncated generator, unitary to rounding,
+    so the state's spectrum is the truncated thermal state's; the leak gate
+    reads the trace deficit and the top Fock layer (trace_leak).
+    """
     require("r", r)
-    import scipy.linalg as sla
     base = thermal_state(mean_photons, dim)
-    a = ladder(base.dim)
-    squeezer = sla.expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
-    rho = squeezer @ base.rho @ squeezer.conj().T
-    rho /= np.trace(rho).real
+    squeezer = _squeezer(r, base.dim)
+    rho = (squeezer * np.diagonal(base.rho).real) @ squeezer.T
+    rho /= np.trace(rho)
     out = FockDensityMatrix(rho)
     _gate(trace_leak(out), "squeezed thermal leak", dim)
     return out

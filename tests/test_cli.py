@@ -317,6 +317,23 @@ def test_coherent_state_loads_no_scipy():
     assert "coherent []" in out.stdout.splitlines()
 
 
+STATES_PROBE = """
+import sys
+import qepi.fock as fock
+fock.fock_state(2, 30)
+fock.vacuum_state(30)
+fock.thermal_state(1.0, 30)
+fock.coherent_state(0.8 + 0.3j, 30)
+fock.squeezed_thermal_state(0.3, 0.5, 30)
+print("states", [m for m in sys.modules if m.startswith("scipy")])
+"""
+
+
+def test_state_constructors_load_no_scipy():
+    out = _run_python("-c", STATES_PROBE)
+    assert "states []" in out.stdout.splitlines()
+
+
 def test_figures_peak_python_memory(tmp_path):
     # the surface CSV is 1.4 MB; joined and encoded whole it peaked at 4.5 MiB,
     # and at 1.6 MiB while the gap surface was one grid-sized expression

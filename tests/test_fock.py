@@ -67,6 +67,39 @@ def test_squeezed_thermal_state():
     assert fock.vn_entropy(st) == pytest.approx(g(0.5), abs=1e-8)
 
 
+def _expm_squeezer(r, dim):
+    a = fock.ladder(dim)
+    return sla.expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
+
+
+@pytest.mark.parametrize("dim", [12, 30, 60, 120])
+@pytest.mark.parametrize("r", [-0.4, 0.3, 1.0, 2.0, 4.0])
+def test_squeezer_matches_expm_of_the_truncated_generator(r, dim):
+    s = fock._squeezer(r, dim)
+    assert s.dtype == np.float64
+    assert np.max(np.abs(s - _expm_squeezer(r, dim))) < 1e-13
+    assert np.max(np.abs(s @ s.T - np.eye(dim))) < 1e-14
+    assert np.max(np.abs(s.T @ s - np.eye(dim))) < 1e-14
+    # the generator moves two photons at a time
+    n = np.arange(dim)
+    assert not s[(n[:, None] + n[None, :]) % 2 == 1].any()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 13, 30])
+def test_squeezer_at_zero_is_the_identity(dim):
+    assert np.array_equal(fock._squeezer(0.0, dim), np.eye(dim))
+
+
+@pytest.mark.parametrize("r, mean_photons, dim", [
+    (0.4, 0.5, 50), (0.4, 0.5, 40), (0.2, 0.1, 20), (0.1, 0.1, 12),
+    (0.1, 0.9, 30), (0.1, 2.0, 60), (0.3, 0.5, 30), (0.1, 1.4, 40)])
+def test_squeezed_thermal_state_matches_the_expm_state(r, mean_photons, dim):
+    s = _expm_squeezer(r, dim)
+    want = s @ fock.thermal_state(mean_photons, dim).rho @ s.conj().T
+    want /= np.trace(want).real
+    assert np.max(np.abs(fock.squeezed_thermal_state(r, mean_photons, dim).rho - want)) < 1e-14
+
+
 def test_two_mode_mix_vacuum_fixed_point():
     vac = fock.vacuum_state(BS_DIM)
     out = fock.two_mode_mix(vac, vac, MixingParams.beam_splitter(0.7))
