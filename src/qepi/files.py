@@ -4,20 +4,21 @@ from __future__ import annotations
 
 import os
 import stat
-import tempfile
 from collections.abc import Iterable
 
 
-def _replaced_mode(path) -> int:
-    """The mode open(path, "w") leaves path with: an existing file's own,
-    else 0o666 less the umask."""
-    try:
-        return stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        # the umask can only be read by setting it; it is set straight back
-        umask = os.umask(0o022)
-        os.umask(umask)
-        return 0o666 & ~umask
+def _create_temporary(directory: str) -> tuple[int, str]:
+    """Create and open a new file under a fresh random name in directory.
+
+    It is created with mode 0o666, which the kernel reduces by the process
+    umask as open(path, "w") would; a name that already exists is drawn again.
+    """
+    while True:
+        tmp = os.path.join(directory, f".tmp-qepi-{os.urandom(8).hex()}")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
 
 
 def atomic_write(path, pieces: Iterable[str]) -> None:
@@ -28,13 +29,19 @@ def atomic_write(path, pieces: Iterable[str]) -> None:
     them alive at a time.  If producing or writing a piece raises, the
     temporary is removed and an existing file at path keeps its bytes.
     The replaced file has the mode open(path, "w") would give it: an
-    existing file keeps its mode, and a new one gets 0o666 less the umask.
+    existing file keeps its mode, and a new one gets 0o666 less the umask,
+    which is applied by the kernel and never read or set here.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-qepi-")
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    fd, tmp = _create_temporary(directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            os.chmod(tmp, _replaced_mode(path))
+            if mode is not None:
+                os.fchmod(fd, mode)
             fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:

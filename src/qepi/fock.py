@@ -607,6 +607,33 @@ def trace_distance(a: FockDensityMatrix, b: FockDensityMatrix) -> float:
     return 0.5 * float(np.sum(np.abs(evs)))
 
 
+def _expm_by_squaring(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a real square matrix, by matrix products alone.
+
+    a is scaled by 2^-s, the least power of two that brings its 1-norm
+    below 1/2; the scaled matrix x is exponentiated by its Taylor
+    polynomial, in Horner form, of the least degree m whose first dropped
+    term bound ||x||^(m+1) / (m+1)! is below the unit roundoff, and the
+    result is squared s times.  Both s and m follow from ||a||_1.
+    """
+    n = len(a)
+    norm = float(np.abs(a).sum(axis=0).max())
+    s = max(0, math.frexp(2.0 * norm)[1])
+    x, bound = np.ldexp(a, -s), math.ldexp(norm, -s)
+    degree, term = 0, bound
+    while term > 2.0 ** -53:
+        degree += 1
+        term *= bound / (degree + 1)
+    p = np.eye(n)
+    for j in range(degree, 0, -1):        # p = I + x p / j
+        p = x @ p
+        p /= j
+        p.flat[::n + 1] += 1.0
+    for _ in range(s):
+        p = p @ p
+    return p
+
+
 def liouville_evolve(rho: FockDensityMatrix, t: float) -> FockDensityMatrix:
     """Evolve for time t under the additive-noise semigroup, exact on the cutoff.
 
@@ -614,17 +641,17 @@ def liouville_evolve(rho: FockDensityMatrix, t: float) -> FockDensityMatrix:
     -(c_m + c_n)/4 rho_mn + 1/2 (sqrt(mn) rho_{m-1,n-1}
     + sqrt((m+1)(n+1)) rho_{m+1,n+1}) with c = diag(a a^dag + a^dag a), i.e.
     2m + 1 except dim - 1 at the top level of the truncated space.  So each
-    band n - m = +-k evolves on its own under a symmetric tridiagonal
-    matrix v diag(w) v^T, and the band r becomes v (e^{tw} * (v^T r)): two
-    matrix-vector products after one tridiagonal eigensolve, and no dense
-    propagator.  A band that is exactly zero stays zero: only the bands
-    that one np.nonzero of rho finds occupied are evolved, and a
-    Fock-diagonal input is its population vector, one band.
+    band n - m = +-k evolves on its own under a real symmetric tridiagonal
+    matrix T_k, and the band r becomes P_k r with P_k = exp(t T_k), taken by
+    scaling and squaring a Taylor polynomial (_expm_by_squaring): matrix
+    products only, no eigensolve and no scipy.  A band that is exactly zero
+    stays zero: only the bands that one np.nonzero of rho finds occupied
+    are evolved, and a Fock-diagonal input is its population vector, one
+    band.
     """
     require("evolution time", t, 0.0)
     if t == 0:
         return rho
-    import scipy.linalg as sla
     dim = rho.dim
     m = np.arange(dim)
     c = 2.0 * m + 1.0
@@ -633,10 +660,12 @@ def liouville_evolve(rho: FockDensityMatrix, t: float) -> FockDensityMatrix:
     def evolve(k: int, *bands: np.ndarray) -> list[np.ndarray]:
         """Bands at distance k from the diagonal, each its dim - k entries, after time t."""
         j = m[:dim - k]
-        w, v = sla.eigh_tridiagonal(-(c[j] + c[j + k]) / 4.0,
-                                    0.5 * np.sqrt(j[1:] * (j[1:] + k)))
-        growth = np.exp(t * w)
-        return [v @ (growth * (v.T @ r)) for r in bands]
+        n = len(j)
+        gen = np.zeros((n, n))
+        gen.flat[::n + 1] = -(t / 4.0) * (c[j] + c[j + k])
+        gen.flat[1::n + 1] = gen.flat[n::n + 1] = (t / 2.0) * np.sqrt(j[1:] * (j[1:] + k))
+        p = _expm_by_squaring(gen)
+        return [p @ r for r in bands]
 
     if rho.diagonal:
         return _from_populations(*evolve(0, np.diagonal(rho.rho).real))

@@ -69,3 +69,35 @@ def test_replaced_file_keeps_its_mode(tmp_path):
     _with_umask(0o022, lambda: atomic_write(target, ["new,bytes\r\n"]))
     assert target.read_bytes() == b"new,bytes\r\n"
     assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+def test_atomic_write_never_sets_the_process_umask(tmp_path, monkeypatch):
+    # setting the umask to read it, even when set straight back, gives a file
+    # another thread creates meanwhile the wrong mode
+    def umask_called(mask):
+        raise AssertionError(f"atomic_write called os.umask({mask:#o})")
+    old = os.umask(0o027)
+    try:
+        monkeypatch.setattr(os, "umask", umask_called)
+        atomic_write(tmp_path / "new.csv", ["a\r\n"])
+        assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o640
+        (tmp_path / "new.csv").chmod(0o604)
+        atomic_write(tmp_path / "new.csv", ["b\r\n"])
+        assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o604
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+    assert (tmp_path / "new.csv").read_bytes() == b"b\r\n"
+    assert os.listdir(tmp_path) == ["new.csv"]
+
+
+def test_temporary_name_taken_is_drawn_again(tmp_path, monkeypatch):
+    draws = iter([bytes(8), bytes(8), b"\1" * 8])
+    monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+    taken = tmp_path / f".tmp-qepi-{bytes(8).hex()}"
+    taken.write_bytes(b"another writer's\r\n")
+    atomic_write(tmp_path / "out.csv", ["a\r\n"])
+    assert next(draws, None) is None
+    assert taken.read_bytes() == b"another writer's\r\n"
+    assert (tmp_path / "out.csv").read_bytes() == b"a\r\n"
+    assert sorted(os.listdir(tmp_path)) == [taken.name, "out.csv"]

@@ -944,3 +944,28 @@ def test_liouville_evolve_matches_expm_of_the_truncated_liouvillian(make, dim, t
     got = fock.liouville_evolve(state, t)
     assert np.max(np.abs(got.rho - want)) < 1e-13
     assert got.diagonal == state.diagonal
+
+
+def _noise_band_generator(dim, k):
+    """T_k, the additive-noise generator on the band n - m = k, as a dense matrix."""
+    m = np.arange(dim - k)
+    c = np.append(2.0 * np.arange(dim - 1) + 1.0, dim - 1.0)     # diag(a a^dag + a^dag a)
+    off = 0.5 * np.sqrt(m[1:] * (m[1:] + k))
+    return np.diag(-(c[m] + c[m + k]) / 4.0) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@pytest.mark.parametrize("dim", [30, 60, 120])
+@pytest.mark.parametrize("t", [0.005, 0.4, 2.0, 50.0, 500.0])
+def test_band_propagator_matches_expm(dim, t):
+    # worst measured: 4.3e-14 at cutoff 120, band 0, t = 2, where an
+    # eigensolve of T_k is within 2e-15
+    for k in (0, 1, dim // 3):
+        gen = t * _noise_band_generator(dim, k)
+        got = fock._expm_by_squaring(gen)
+        assert np.max(np.abs(got - sla.expm(gen))) <= 1e-13
+
+
+def test_band_propagator_is_a_semigroup():
+    gen = _noise_band_generator(60, 1)
+    p = fock._expm_by_squaring
+    assert np.max(np.abs(p(0.3 * gen) @ p(1.7 * gen) - p(2.0 * gen))) < 1e-13
