@@ -10,13 +10,14 @@ state records once, when it is built, whether rho is Fock-diagonal (its
 `diagonal` field); such a state is its population vector, which the
 constructors, the mixes and the noise evolution hand over and check in
 O(dim) rather than as a dense matrix.  The squeezer is exponentiated
-through one Hermitian eigendecomposition of its generator, and no function
-here takes a dense matrix exponential.
+through one Hermitian eigendecomposition of its generator, and each noise
+band through a Taylor polynomial by scaling and squaring; nothing here
+calls scipy's expm or an eigensolver of scipy's.
 
-scipy is imported inside the functions that use it (the noise evolution
-and the mix of two non-diagonal inputs), so importing this module (and
-with it qepi and qepi.cli) and building any state loads no scipy: the
-Gaussian commands never pay its start-up.
+scipy is imported only inside the mix of two non-diagonal inputs, for
+BLAS zherk, so importing this module (and with it qepi and qepi.cli),
+building any state, every other mix, the noise evolution and `qepi
+oracle` load no scipy and never pay its start-up.
 """
 
 from __future__ import annotations
